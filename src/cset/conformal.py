@@ -85,6 +85,10 @@ class ConformalModel:
     def __post_init__(self) -> None:
         if self.n_classes < 2:
             raise ValueError("model needs at least 2 classes")
+        if math.isnan(self.tau_hat) or self.tau_hat == -math.inf:
+            raise ValueError(f"tau_hat must be finite or inf, got {self.tau_hat}")
+        if self.n_cal < 0:
+            raise ValueError(f"n_cal must be nonnegative, got {self.n_cal}")
         if self.spec.method == "fixed_k":
             if self.k_star is None or self.mix_prob is None:
                 raise ValueError("fixed_k model requires k_star and mix_prob")
@@ -360,7 +364,15 @@ def save_model(model: ConformalModel, path: str) -> None:
             fh.write(f"{key} = {_fmt(val)}\n")
 
 
+def _load_flag(fields: dict, key: str, default: str | None = None) -> bool:
+    val = fields[key] if default is None else fields.get(key, default)
+    if val not in _BOOLS:
+        raise ValueError(f"{key} must be true or false, got {val!r}")
+    return _BOOLS[val]
+
+
 def load_model(path: str) -> ConformalModel:
+    """Read a model written by save_model; any malformed field is a DataError."""
     fields: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -377,8 +389,8 @@ def load_model(path: str) -> ConformalModel:
             alpha=float(fields["alpha"]),
             penalty=float(fields["lambda"]),
             kreg=int(fields["k_reg"]),
-            randomized=_BOOLS[fields["randomized"]],
-            boundary_inclusive=_BOOLS.get(fields.get("boundary_inclusive", "false"), False),
+            randomized=_load_flag(fields, "randomized"),
+            boundary_inclusive=_load_flag(fields, "boundary_inclusive", "false"),
         )
         return ConformalModel(
             spec=spec,

@@ -21,16 +21,21 @@ DIFFICULTY_BINS = ((1, 1), (2, 3), (4, 6), (7, 10), (11, 100), (101, 1000))
 BASE_STRATA = ((0, 1), (2, 3), (4, 10), (11, 100), (101, 1000))
 
 
-def default_strata(n_classes: int) -> tuple:
-    """Set-size strata clipped to [0, K]; the first stratum holds sizes 0-1."""
+def _clip_bins(bins: tuple, n_classes: int) -> tuple:
+    """Drop bins that start past K, cap the rest at K, stretch the last to K."""
     out = []
-    for lo, hi in BASE_STRATA:
+    for lo, hi in bins:
         if lo > n_classes:
             break
         out.append((lo, min(hi, n_classes)))
     if out and out[-1][1] < n_classes:
         out[-1] = (out[-1][0], n_classes)
     return tuple(out)
+
+
+def default_strata(n_classes: int) -> tuple:
+    """Set-size strata clipped to [0, K]; the first stratum holds sizes 0-1."""
+    return _clip_bins(BASE_STRATA, n_classes)
 
 
 @dataclass(frozen=True)
@@ -67,14 +72,7 @@ class EvalReport:
 
 def default_difficulty_bins(n_classes: int) -> tuple:
     """True-label-rank bins clipped to [1, K]."""
-    out = []
-    for lo, hi in DIFFICULTY_BINS:
-        if lo > n_classes:
-            break
-        out.append((lo, min(hi, n_classes)))
-    if out and out[-1][1] < n_classes:
-        out[-1] = (out[-1][0], n_classes)
-    return tuple(out)
+    return _clip_bins(DIFFICULTY_BINS, n_classes)
 
 
 def _set_classes(s):

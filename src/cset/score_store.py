@@ -20,6 +20,8 @@ KINDS = ("logits", "probabilities")
 _MAGIC = b"CSET1"
 _ROW_SUM_OK = 1e-6
 _ROW_SUM_FIX = 1e-3
+# Rows per block in sort_scores; bounds its temporaries at this many rows x K.
+_SORT_BLOCK_ROWS = 256
 
 
 class DataError(ValueError):
@@ -101,8 +103,9 @@ class SortedScores:
 
     ``sorted[i, j]`` is the (j+1)-th largest probability of row i,
     ``perm[i, j]`` the class index it came from, and ``cumsum`` the running
-    row prefix sums. Ties are broken by a seeded shuffle inside
-    :func:`sort_scores`, so ``perm`` rows are always true permutations.
+    row prefix sums. Equal probabilities are ordered by seeded random keys
+    inside :func:`sort_scores`, so ``perm`` rows are always true
+    permutations and a given seed always yields the same order.
     """
 
     sorted: np.ndarray
@@ -154,16 +157,64 @@ def softmax(m: ScoreMatrix, temperature: float = 1.0) -> ScoreMatrix:
 def sort_scores(m: ScoreMatrix, seed: int = 0) -> SortedScores:
     """Descending per-row sort with seeded uniform tie-breaking.
 
-    Tied entries are ordered by an auxiliary random key drawn from the
-    substream (seed, TIEBREAK); row i consumes row i of that key matrix, so
-    the outcome does not depend on processing order.
+    Equal entries of a row are ordered by an auxiliary uniform key. The key
+    of cell (i, j) is draw ``i * K + j`` of the substream (seed, TIEBREAK),
+    so the outcome does not depend on processing order. Rows are sorted in
+    blocks of ``_SORT_BLOCK_ROWS``; keys are drawn only for blocks that hold
+    a tied row, at the same stream offsets (the stream skips past the
+    others), and are used only inside runs of equal values. The result is
+    therefore exactly ``np.lexsort((keys, -scores), axis=1)`` over the full
+    n x K key matrix, so seeded results match earlier releases, while the
+    extra memory stays bounded by one block.
     """
     if m.kind != "probabilities":
         raise ValueError("sort_scores expects probabilities; apply softmax first")
-    tie = seeds.rng(seed, seeds.TIEBREAK).random(m.scores.shape)
-    perm = np.lexsort((tie, -m.scores), axis=1)
-    srt = np.take_along_axis(m.scores, perm, axis=1)
-    return SortedScores(srt, perm, np.cumsum(srt, axis=1))
+    n, k = m.scores.shape
+    perm = np.empty((n, k), dtype=np.intp)
+    srt = np.empty((n, k))
+    cumsum = np.empty((n, k))
+    tie_rng = seeds.rng(seed, seeds.TIEBREAK)
+    for lo in range(0, n, _SORT_BLOCK_ROWS):
+        hi = min(lo + _SORT_BLOCK_ROWS, n)
+        block = m.scores[lo:hi]
+        # An unstable ascending sort, reversed, is right up to the order
+        # inside runs of equal values, which _order_ties sets.
+        perm[lo:hi] = np.argsort(block, axis=1)[:, ::-1]
+        # Same values as gathering through perm, except that equal cells
+        # (the only ones whose bits may differ: -0.0 and 0.0) can land in
+        # another order; _order_ties gathers those cells again.
+        srt[lo:hi] = np.sort(block, axis=1)[:, ::-1]
+        equal = srt[lo:hi, 1:] == srt[lo:hi, :-1]
+        if equal.any():
+            keys = tie_rng.random((hi - lo, k))
+            _order_ties(perm[lo:hi], srt[lo:hi], block, keys, equal)
+        else:
+            # random() takes one 64-bit step per float64, so this skips
+            # exactly the keys of this block.
+            tie_rng.bit_generator.advance((hi - lo) * k)
+        np.cumsum(srt[lo:hi], axis=1, out=cumsum[lo:hi])
+    return SortedScores(srt, perm, cumsum)
+
+
+def _order_ties(perm, srt, scores, keys, equal) -> None:
+    """Reorder each run of equal sorted values by key, in place.
+
+    ``equal[i, j]`` says sorted cells j and j+1 of row i are equal. Within a
+    run, cells go in ascending key order, and by class index on equal keys,
+    as a stable lexsort would put them.
+    """
+    rows, k = perm.shape
+    continues = np.zeros((rows, k), dtype=bool)
+    continues[:, 1:] = equal
+    in_run = continues.copy()
+    in_run[:, :-1] |= equal
+    flat = np.flatnonzero(in_run)
+    run_id = np.cumsum(~continues.reshape(-1)[flat])
+    r, c = np.divmod(flat, k)
+    cls = perm[r, c]
+    cls = cls[np.lexsort((cls, keys[r, cls], run_id))]
+    perm[r, c] = cls
+    srt[r, c] = scores[r, cls]
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,22 @@ def test_predict_hand_example_line(tmp_path):
     assert lines[0] == "0,2,0,1"
 
 
+def test_predict_with_nan_threshold_model_is_data_error(tmp_path, capsys):
+    model = ConformalModel(MethodSpec("aps", 0.1), 0.85, 10, 0, 3)
+    path = tmp_path / "model.txt"
+    cset.save_model(model, str(path))
+    path.write_text(path.read_text().replace("tau_hat = 0.85", "tau_hat = nan"))
+    (tmp_path / "eval.csv").write_text("scores,K=3\n0.5,0.3,0.2,0\n")
+    out = tmp_path / "pred"
+    code = run([
+        "predict", "--model", str(path),
+        "--input", str(tmp_path / "eval.csv"), "--out", str(out),
+    ])
+    assert code == 1
+    assert "tau_hat" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
+
+
 def test_predict_infinite_threshold_gives_all_classes(tmp_path):
     model = ConformalModel(MethodSpec("aps", 0.1, randomized=False), math.inf, 4, 0, 3)
     cset.save_model(model, str(tmp_path / "model.txt"))

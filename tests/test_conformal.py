@@ -389,6 +389,42 @@ def test_model_file_errors(tmp_path):
         cset.load_model(str(path))
 
 
+def _model_text(**overrides):
+    fields = {
+        "method": "aps", "alpha": "0.1", "lambda": "0.0", "k_reg": "1",
+        "randomized": "true", "boundary_inclusive": "false", "tau_hat": "0.5",
+        "n_cal": "10", "seed": "0", "n_classes": "3",
+    }
+    fields.update(overrides)
+    return "".join(f"{k} = {v}\n" for k, v in fields.items() if v is not None)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau_hat", "nan"),
+        ("tau_hat", "-inf"),
+        ("n_cal", "-5"),
+        ("randomized", "yes"),
+        ("boundary_inclusive", "yes"),
+    ],
+)
+def test_model_file_rejects_bad_values(tmp_path, field, value):
+    path = tmp_path / "model.txt"
+    path.write_text(_model_text(**{field: value}))
+    with pytest.raises(DataError, match=field):
+        cset.load_model(str(path))
+
+
+def test_model_file_boundary_inclusive_defaults_false(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(_model_text(boundary_inclusive=None))
+    assert cset.load_model(str(path)).spec.boundary_inclusive is False
+    path.write_text(_model_text(boundary_inclusive="true", tau_hat="inf"))
+    model = cset.load_model(str(path))
+    assert model.spec.boundary_inclusive is True and model.tau_hat == math.inf
+
+
 def test_as_deterministic_flips_flag():
     model = ConformalModel(MethodSpec("aps", 0.1), 0.8, 10, 0, 3)
     det = as_deterministic(model)

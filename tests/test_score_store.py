@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cset
-from cset.score_store import DataError, ScoreMatrix, SplitSpec
+from cset import seeds
+from cset.score_store import _SORT_BLOCK_ROWS, DataError, ScoreMatrix, SplitSpec, _order_ties
 
 from conftest import dirichlet_matrix
 
@@ -244,3 +245,97 @@ def test_sort_is_bijection_property(k, n, seed):
     # perm applied to sorted recovers the original row exactly
     recovered = np.take_along_axis(ss.sorted, np.argsort(ss.perm, axis=1), 1)
     np.testing.assert_array_equal(recovered, m.scores)
+
+
+# --- sort_scores against the full-matrix lexsort it replaces --------------
+
+ROW_SHAPES = ("tie_free", "sparse", "integer", "all_equal")
+
+
+def _rows(shape, n, k, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "tie_free":
+        x = rng.random((n, k)) + 0.01
+    elif shape == "sparse":
+        # zero tails next to a few positive classes, as in float32-underflowed
+        # Dirichlet rows
+        x = rng.random((n, k))
+        x[rng.random((n, k)) < 0.6] = 0.0
+        x[np.arange(n), rng.integers(0, k, n)] += 1.0
+    elif shape == "integer":
+        x = rng.integers(1, 4, (n, k)).astype(float)
+    else:
+        x = np.ones((n, k))
+    x /= x.sum(axis=1, keepdims=True)
+    return ScoreMatrix(x, rng.integers(0, k, n), "probabilities")
+
+
+def _lexsort_reference(m, seed):
+    keys = seeds.rng(seed, seeds.TIEBREAK).random(m.scores.shape)
+    perm = np.lexsort((keys, -m.scores), axis=1)
+    srt = np.take_along_axis(m.scores, perm, axis=1)
+    return perm, srt, np.cumsum(srt, axis=1)
+
+
+def _assert_matches_reference(m, seed):
+    ss = cset.sort_scores(m, seed=seed)
+    perm, srt, cumsum = _lexsort_reference(m, seed)
+    assert ss.perm.dtype == perm.dtype
+    np.testing.assert_array_equal(ss.perm, perm)
+    assert ss.sorted.tobytes() == srt.tobytes()
+    assert ss.cumsum.tobytes() == cumsum.tobytes()
+
+
+@given(
+    st.sampled_from(ROW_SHAPES),
+    st.integers(1, 3 * _SORT_BLOCK_ROWS + 7),
+    st.sampled_from([2, 3, 5, 11]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sort_matches_lexsort_reference(shape, n, k, seed):
+    _assert_matches_reference(_rows(shape, n, k, seed), seed)
+
+
+@pytest.mark.parametrize("tied_block", ["first", "last"])
+def test_sort_matches_reference_with_ties_in_one_block(tied_block):
+    # tie-free rows except in one block; n is not a multiple of the block
+    n, k = 2 * _SORT_BLOCK_ROWS + 37, 6
+    scores = _rows("tie_free", n, k, seed=3).scores.copy()
+    rows = [1, 40] if tied_block == "first" else [n - 30, n - 1]
+    scores[rows[0], [1, 3, 4]] = scores[rows[0], 1]
+    scores[rows[1], 2:] = 0.0
+    scores /= scores.sum(axis=1, keepdims=True)
+    m = ScoreMatrix(scores, np.zeros(n, dtype=int), "probabilities")
+    _assert_matches_reference(m, seed=8)
+
+
+def test_sort_matches_reference_on_signed_zero_runs():
+    scores = np.array([[0.0, 0.5, -0.0, 0.5, 0.0, -0.0]] * 5)
+    m = ScoreMatrix(scores, np.zeros(5, dtype=int), "probabilities")
+    _assert_matches_reference(m, seed=2)
+
+
+def test_order_ties_breaks_equal_keys_by_class_index():
+    # a stable lexsort keeps class order when the keys of a run are equal
+    scores = np.array([[0.1, 0.3, 0.3, 0.3]])
+    perm = np.array([[3, 2, 1, 0]])
+    srt = np.take_along_axis(scores, perm, axis=1)
+    _order_ties(perm, srt, scores, np.zeros((1, 4)), srt[:, 1:] == srt[:, :-1])
+    np.testing.assert_array_equal(perm, [[1, 2, 3, 0]])
+
+
+@given(
+    st.sampled_from(ROW_SHAPES),
+    st.integers(2, 2 * _SORT_BLOCK_ROWS + 9),
+    st.sampled_from([2, 4, 9]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_sort_rows_do_not_depend_on_later_rows(shape, n, k, seed, data):
+    m = _rows(shape, n, k, seed)
+    j = data.draw(st.integers(1, n - 1))
+    full = cset.sort_scores(m, seed=seed)
+    head = cset.sort_scores(m.take(np.arange(j)), seed=seed)
+    np.testing.assert_array_equal(full.perm[:j], head.perm)
+    assert full.sorted[:j].tobytes() == head.sorted.tobytes()
+    assert full.cumsum[:j].tobytes() == head.cumsum.tobytes()
