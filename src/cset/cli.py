@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -66,15 +67,15 @@ def _alpha(s: str) -> float:
 
 def _pos_float(s: str) -> float:
     v = float(s)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {s}")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {s}")
     return v
 
 
 def _nonneg_float(s: str) -> float:
     v = float(s)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {s}")
+    if not 0 <= v < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {s}")
     return v
 
 
@@ -97,7 +98,7 @@ def _lambda_grid(s: str) -> tuple:
         vals = tuple(float(p) for p in s.split(",") if p.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad lambda grid {s!r}") from None
-    if not vals or any(v < 0 for v in vals):
+    if not vals or not all(0 <= v < math.inf for v in vals):
         raise argparse.ArgumentTypeError(f"bad lambda grid {s!r}")
     return vals
 

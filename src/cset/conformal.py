@@ -62,8 +62,8 @@ class MethodSpec:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.penalty < 0:
-            raise ValueError(f"penalty must be nonnegative, got {self.penalty}")
+        if not 0 <= self.penalty < math.inf:
+            raise ValueError(f"penalty must be nonnegative and finite, got {self.penalty}")
         if self.method != "raps" and self.penalty != 0.0:
             raise ValueError(f"penalty is a raps knob, not valid for {self.method}")
         if self.kreg < 1:

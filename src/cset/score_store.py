@@ -8,6 +8,7 @@ the sorted view produced by :func:`sort_scores`. Internal arithmetic is
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -139,19 +140,27 @@ class SortedScores:
         return inv[np.arange(n), labels] + 1
 
 
+def check_temperature(temperature: float) -> None:
+    """Raise ValueError unless the temperature is positive and finite."""
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+
+
 def softmax(m: ScoreMatrix, temperature: float = 1.0) -> ScoreMatrix:
     """Row-wise softmax of a logit matrix at the given temperature.
 
     Stabilized by subtracting the row max before exponentiation. Preserves
-    the within-row ranking for any positive temperature.
+    the within-row ranking for any positive finite temperature. Works in
+    place on one fresh n x K array; the input matrix is not touched.
     """
     if m.kind != "logits":
         raise ValueError("softmax expects logits")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = (m.scores - m.scores.max(axis=1, keepdims=True)) / temperature
-    e = np.exp(z)
-    return ScoreMatrix(e / e.sum(axis=1, keepdims=True), m.labels, "probabilities")
+    check_temperature(temperature)
+    e = m.scores - m.scores.max(axis=1, keepdims=True)
+    e /= temperature
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return ScoreMatrix(e, m.labels, "probabilities")
 
 
 def sort_scores(m: ScoreMatrix, seed: int = 0) -> SortedScores:
@@ -361,8 +370,7 @@ def _load_binary(path: str) -> ScoreMatrix:
     _check(len(blob) == need, f"{path}: expected {need} bytes, found {len(blob)}")
     scores = np.frombuffer(blob, dtype="<f4", count=n * k, offset=head)
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=head + 4 * n * k)
+    # ScoreMatrix converts the float32 and uint32 views to 64 bits in one copy.
     return ScoreMatrix(
-        scores.reshape(n, k).astype(np.float64),
-        labels.astype(np.int64),
-        "logits" if kind_flag == 0 else "probabilities",
+        scores.reshape(n, k), labels, "logits" if kind_flag == 0 else "probabilities"
     )

@@ -312,3 +312,72 @@ def test_help_mentions_every_documented_flag(capsys):
         "--corruption", "--concentration", "--no-sweep", "--deterministic",
     ):
         assert flag in text
+
+
+def test_fit_temp_with_tol_below_float_spacing_returns(tmp_path, capsys):
+    g = np.random.default_rng(3)
+    m = cset.ScoreMatrix(g.normal(size=(50, 5)), g.integers(0, 5, 50), "logits")
+    cset.save_scores(m, str(tmp_path / "logits.bin"), "binary")
+    out = tmp_path / "temp"
+    assert run([
+        "fit-temp", "--input", str(tmp_path / "logits.bin"), "--t-tol", "1e-300",
+        "--out", str(out),
+    ]) == 0
+    assert (out / "temperature.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e999"])
+@pytest.mark.parametrize("command", ["calibrate", "predict"])
+def test_non_finite_temperature_is_usage_error(tmp_path, capsys, command, value):
+    (tmp_path / "z.csv").write_text("scores,K=2\n1.5,-0.5,0\n-1.0,2.0,1\n")
+    args = {
+        "calibrate": ["calibrate", "--input", str(tmp_path / "z.csv")],
+        "predict": ["predict", "--model", str(tmp_path / "m.txt"), "--input", str(tmp_path / "z.csv")],
+    }[command]
+    assert run(args + [f"--temperature={value}", "--out", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--t-lo", "--t-hi", "--t-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_fit_temp_non_finite_bracket_is_usage_error(tmp_path, capsys, flag, value):
+    code = run([
+        "fit-temp", "--input", str(tmp_path / "never_created.bin"), flag, value,
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda_is_usage_error(four_row_file, tmp_path, capsys, value):
+    code = run([
+        "calibrate", "--input", four_row_file, "--method", "raps", "--lambda", value,
+        "--out", str(tmp_path / "m"),
+    ])
+    assert code == 2
+    assert "tau_hat" not in capsys.readouterr().err
+    assert run([
+        "experiment", "--cal-size", "100", "--eval-size", "100", "--lambda-grid",
+        f"0.01,{value}", "--out", str(tmp_path / "e"),
+    ]) == 2
+
+
+@pytest.mark.parametrize("penalty", [math.nan, math.inf])
+def test_method_spec_rejects_non_finite_penalty(penalty):
+    with pytest.raises(ValueError, match="finite"):
+        MethodSpec("raps", 0.1, penalty=penalty)
+
+
+def test_predict_with_non_finite_penalty_model_is_data_error(tmp_path, capsys):
+    model = ConformalModel(MethodSpec("raps", 0.1, penalty=0.5), 0.85, 10, 0, 3)
+    path = tmp_path / "model.txt"
+    cset.save_model(model, str(path))
+    path.write_text(path.read_text().replace("lambda = 0.5", "lambda = inf"))
+    (tmp_path / "eval.csv").write_text("scores,K=3\n0.5,0.3,0.2,0\n")
+    code = run([
+        "predict", "--model", str(path),
+        "--input", str(tmp_path / "eval.csv"), "--out", str(tmp_path / "pred"),
+    ])
+    assert code == 1
+    assert "penalty" in capsys.readouterr().err

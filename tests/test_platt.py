@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cset
+from cset.platt import _NLL_BLOCK_CELLS, DEFAULT_BOUNDS, DEFAULT_TOL
 from cset.score_store import ScoreMatrix
 from cset.seeds import rng
+
+from conftest import logit_matrices
 
 
 def test_nll_uniform_pair():
@@ -94,3 +99,123 @@ def test_fit_on_already_calibrated_data_stays_near_one():
     fit = cset.fit_temperature(m)
     # snap-to-1 guard: exactly 1.0 when 1.0 is at least as good as the bracket midpoint
     assert fit.temperature == pytest.approx(1.0, abs=0.05)
+
+
+# --- the fit against the one-shot formula and search it replaced -----------
+
+def _reference_nll(m, temperature):
+    z = (m.scores - m.scores.max(axis=1, keepdims=True)) / temperature
+    lse = np.log(np.exp(z).sum(axis=1))
+    picked = z[np.arange(m.n), m.labels]
+    return float(np.mean(lse - picked))
+
+
+def _reference_fit(m, bounds=DEFAULT_BOUNDS, tol=DEFAULT_TOL):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = bounds
+    base = _reference_nll(m, 1.0)
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = _reference_nll(m, c), _reference_nll(m, d)
+    iterations = 0
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _reference_nll(m, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _reference_nll(m, d)
+        iterations += 1
+    t = 0.5 * (a + b)
+    best = _reference_nll(m, t)
+    if lo <= 1.0 <= hi and base < best:
+        t, best = 1.0, base
+    return cset.TemperatureFit(t, base, best, iterations)
+
+
+@given(logit_matrices())
+def test_nll_matches_one_shot_formula(m):
+    for t in (0.05, 0.1, 0.5, 1.0, 1.7, 2.5, 7.0, 20.0):
+        assert cset.nll(m, t) == _reference_nll(m, t)
+
+
+@given(logit_matrices())
+def test_fit_matches_reference_search_field_by_field(m):
+    fit = cset.fit_temperature(m)
+    ref = _reference_fit(m)
+    assert fit.temperature == ref.temperature
+    assert fit.nll_before == ref.nll_before
+    assert fit.nll_after == ref.nll_after
+    assert fit.iterations == ref.iterations
+
+
+@given(logit_matrices(), st.sampled_from([((0.2, 3.0), 1e-6), ((3.0, 5.0), 1e-3)]))
+def test_fit_matches_reference_on_other_brackets(m, bracket):
+    bounds, tol = bracket
+    assert cset.fit_temperature(m, bounds, tol) == _reference_fit(m, bounds, tol)
+
+
+def test_nll_evaluation_blocks_match_one_shot_formula():
+    # more rows than one evaluation block, and a last block that is not full
+    k = 7
+    n = 2 * (_NLL_BLOCK_CELLS // k) + 5
+    g = np.random.default_rng(11)
+    m = ScoreMatrix(g.normal(0.0, 3.0, size=(n, k)), g.integers(0, k, n), "logits")
+    assert cset.fit_temperature(m) == _reference_fit(m)
+
+
+# --- stopping rule and input checks ----------------------------------------
+
+def _small_logits(seed=0):
+    g = np.random.default_rng(seed)
+    return ScoreMatrix(g.normal(size=(50, 5)), g.integers(0, 5, 50), "logits")
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, (1.0, 2.0), (1e-3, 1e3)])
+def test_fit_returns_when_tol_is_below_float_spacing(bounds):
+    m = _small_logits()
+    fit = cset.fit_temperature(m, bounds=bounds, tol=1e-300)
+    assert fit.iterations <= 100
+    assert bounds[0] <= fit.temperature <= bounds[1]
+    # the search went to float resolution: it lands within the default fit's tol
+    if bounds == DEFAULT_BOUNDS:
+        assert abs(fit.temperature - cset.fit_temperature(m).temperature) < DEFAULT_TOL
+
+
+def test_fit_returns_when_optimum_sits_on_lower_bound():
+    # perfectly separated labels: the nll falls all the way down to t_lo
+    g = np.random.default_rng(1)
+    z = g.normal(size=(50, 5))
+    fit = cset.fit_temperature(ScoreMatrix(z, z.argmax(axis=1), "logits"), tol=1e-300)
+    assert fit.iterations <= 100
+    assert fit.temperature == pytest.approx(DEFAULT_BOUNDS[0])
+
+
+def test_fit_on_bracket_one_float_wide_does_not_search():
+    m = _small_logits()
+    fit = cset.fit_temperature(m, bounds=(1.0, math.nextafter(1.0, 2.0)), tol=1e-300)
+    assert fit.iterations == 0
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_nll_and_softmax_reject_bad_temperatures(t):
+    m = _small_logits()
+    with pytest.raises(ValueError, match="positive and finite"):
+        cset.nll(m, t)
+    with pytest.raises(ValueError, match="positive and finite"):
+        cset.softmax(m, t)
+
+
+@pytest.mark.parametrize("bounds", [(0.05, math.inf), (math.nan, 2.0), (0.05, math.nan)])
+def test_fit_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError):
+        cset.fit_temperature(_small_logits(), bounds=bounds)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-4])
+def test_fit_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        cset.fit_temperature(_small_logits(), tol=tol)

@@ -9,7 +9,7 @@ import cset
 from cset import seeds
 from cset.score_store import _SORT_BLOCK_ROWS, DataError, ScoreMatrix, SplitSpec, _order_ties
 
-from conftest import dirichlet_matrix
+from conftest import dirichlet_matrix, logit_matrices
 
 
 def test_matrix_validation_rejects_bad_shapes():
@@ -339,3 +339,40 @@ def test_sort_rows_do_not_depend_on_later_rows(shape, n, k, seed, data):
     np.testing.assert_array_equal(full.perm[:j], head.perm)
     assert full.sorted[:j].tobytes() == head.sorted.tobytes()
     assert full.cumsum[:j].tobytes() == head.cumsum.tobytes()
+
+
+# --- softmax and the binary loader against their one-step references ------
+
+@given(logit_matrices(), st.sampled_from([0.05, 0.5, 1.0, 2.5, 20.0]))
+def test_softmax_matches_reference_and_leaves_input_alone(m, t):
+    before = m.scores.copy()
+    z = (m.scores - m.scores.max(axis=1, keepdims=True)) / t
+    e = np.exp(z)
+    want = e / e.sum(axis=1, keepdims=True)
+    p = cset.softmax(m, t)
+    assert p.scores.tobytes() == want.tobytes()
+    assert p.labels.tobytes() == m.labels.tobytes()
+    assert m.scores.tobytes() == before.tobytes()
+    assert not m.scores.flags.writeable
+    assert not p.scores.flags.writeable
+
+
+@given(logit_matrices(), st.booleans())
+def test_binary_load_matches_float32_reference(tmp_path_factory, m, probabilities):
+    if probabilities:
+        m = cset.softmax(m)
+    path = str(tmp_path_factory.mktemp("bin") / "scores.bin")
+    cset.save_scores(m, path, fmt="binary")
+    back = cset.load_scores(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    head = len(b"CSET1") + 1 + 8 + 8  # magic, kind flag, n, K
+    want = np.frombuffer(blob, "<f4", m.n * m.n_classes, head).astype(np.float64)
+    if probabilities:
+        # rows that float32 rounding moved out of the 1e-6 band are renormalized
+        want = ScoreMatrix(want.reshape(m.n, m.n_classes), m.labels, m.kind).scores
+    assert back.kind == m.kind
+    assert back.scores.dtype == np.float64 and back.labels.dtype == np.int64
+    assert back.scores.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(back.labels, m.labels)
+    assert not back.scores.flags.writeable and not back.labels.flags.writeable
