@@ -142,20 +142,17 @@ def test_nll_matches_one_shot_formula(m):
         assert cset.nll(m, t) == _reference_nll(m, t)
 
 
-@given(logit_matrices())
-def test_fit_matches_reference_search_field_by_field(m):
-    fit = cset.fit_temperature(m)
-    ref = _reference_fit(m)
+BRACKETS = [(DEFAULT_BOUNDS, DEFAULT_TOL), ((0.2, 3.0), 1e-6), ((3.0, 5.0), 1e-3)]
+
+
+@given(logit_matrices(), st.sampled_from(BRACKETS))
+def test_fit_matches_reference_search_field_by_field(m, bracket):
+    fit = cset.fit_temperature(m, *bracket)
+    ref = _reference_fit(m, *bracket)
     assert fit.temperature == ref.temperature
     assert fit.nll_before == ref.nll_before
     assert fit.nll_after == ref.nll_after
     assert fit.iterations == ref.iterations
-
-
-@given(logit_matrices(), st.sampled_from([((0.2, 3.0), 1e-6), ((3.0, 5.0), 1e-3)]))
-def test_fit_matches_reference_on_other_brackets(m, bracket):
-    bounds, tol = bracket
-    assert cset.fit_temperature(m, bounds, tol) == _reference_fit(m, bounds, tol)
 
 
 def test_nll_evaluation_blocks_match_one_shot_formula():
