@@ -365,7 +365,19 @@ def cmd_experiment(args) -> int:
             if p.tune_objective is not None:
                 raise ValueError("raps tuning needs --tune-size > 0 (or pass --lambda)")
 
-    aggs = run_trials_multi(m, protocol, policies)
+    # One trial loop for the methods and the sweep, so each split is sorted
+    # once; trial seeds depend on the trial index alone, so every method's
+    # numbers are the same as in a loop of its own.
+    kregs = [] if args.no_sweep else [k for k in SWEEP_KREGS if k <= m.n_classes]
+    sweep_names = {
+        (k, lam): f"raps_k{k}_l{i}" for k in kregs for i, lam in enumerate(SWEEP_LAMBDAS)
+    }
+    sweep_policies = {
+        name: MethodPolicy(MethodSpec("raps", args.alpha, penalty=lam, kreg=k, randomized=rand))
+        for (k, lam), name in sweep_names.items()
+    }
+    everything = run_trials_multi(m, protocol, {**policies, **sweep_policies})
+    aggs = {name: everything[name] for name in policies}
     _write(args.out, "table1.txt", render_method_table(aggs))
     _write(args.out, "summary.csv", summary_csv(aggs))
     _write(args.out, "strata.txt", render_strata_table(aggs))
@@ -376,19 +388,7 @@ def cmd_experiment(args) -> int:
         _write(args.out, f"difficulty_{name}.csv", difficulty_csv(agg))
 
     if not args.no_sweep:
-        kregs = [k for k in SWEEP_KREGS if k <= m.n_classes]
-        sweep_policies = {
-            f"raps_k{k}_l{i}": MethodPolicy(
-                MethodSpec("raps", args.alpha, penalty=lam, kreg=k, randomized=rand)
-            )
-            for k in kregs
-            for i, lam in enumerate(SWEEP_LAMBDAS)
-        }
-        sweep_aggs = run_trials_multi(m, protocol, sweep_policies)
-        cells = {}
-        for k in kregs:
-            for i, lam in enumerate(SWEEP_LAMBDAS):
-                cells[(k, lam)] = sweep_aggs[f"raps_k{k}_l{i}"].median_size
+        cells = {cell: everything[name].median_size for cell, name in sweep_names.items()}
         _write(args.out, "sweep.txt", render_sweep(cells, kregs, SWEEP_LAMBDAS))
         _write(args.out, "sweep.csv", sweep_csv(cells, kregs, SWEEP_LAMBDAS))
 

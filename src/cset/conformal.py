@@ -37,6 +37,8 @@ from .score_store import DataError, ScoreMatrix, SortedScores
 
 METHODS = ("naive", "aps", "raps", "lac", "fixed_k")
 CALIBRATED_METHODS = ("aps", "raps", "lac")
+# Cells per row block of set_sizes_many (512 KB of float64 per buffer).
+_SIZE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,6 @@ def conformal_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def _rho(ss: SortedScores) -> np.ndarray:
-    # Mass strictly above each rank: exact partial sums, zero at rank 1.
-    out = np.empty_like(ss.cumsum)
-    out[:, 0] = 0.0
-    out[:, 1:] = ss.cumsum[:, :-1]
-    return out
-
-
 def _penalty_vector(k: int, spec: MethodSpec) -> np.ndarray:
     if spec.penalty == 0.0:
         return np.zeros(k)
@@ -174,14 +168,18 @@ def conformity_score(ss: SortedScores, row: int, rank: int, u: float, spec: Meth
     return float(rho + u * s + pen)
 
 
-def _score_rows(ss: SortedScores, spec: MethodSpec, u) -> np.ndarray:
-    """(n, K) score of every rank of every row; u is scalar or (n,)."""
-    if spec.method == "lac":
-        return 1.0 - ss.sorted
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[:, None]
-    return _rho(ss) + u * ss.sorted + _penalty_vector(ss.n_classes, spec)
+def _aps_base(srt: np.ndarray, cumsum: np.ndarray, u, out: np.ndarray) -> np.ndarray:
+    """aps score of every rank of some rows, before any penalty, into out.
+
+    u * (mass at the rank) + (mass strictly above it), the latter being the
+    exact prefix sum one rank back and nothing at rank 1. u is a scalar or
+    one value per row as a column. Float addition commutes, so this equals
+    rho + u * s bit for bit; at rank 1 only the sign of a zero can differ
+    from 0.0 + u * s, which no comparison with a threshold sees.
+    """
+    np.multiply(srt, u, out=out)
+    out[:, 1:] += cumsum[:, :-1]
+    return out
 
 
 def calibration_scores(
@@ -229,21 +227,107 @@ def naive_model(alpha: float, n_classes: int, randomized: bool = True) -> Confor
     return ConformalModel(spec, 1.0 - alpha, 0, 0, n_classes)
 
 
-def _naive_sizes(ss: SortedScores, spec: MethodSpec, u) -> np.ndarray:
+def _naive_sizes(srt: np.ndarray, cumsum: np.ndarray, spec: MethodSpec, u) -> np.ndarray:
     target = 1.0 - spec.alpha
-    k = ss.n_classes
-    first = (ss.cumsum < target).sum(axis=1)
+    n, k = srt.shape
+    first = (cumsum < target).sum(axis=1)
     first = np.minimum(first, k - 1)  # float shortfall guard: cap at the last rank
-    rows = np.arange(ss.n)
+    rows = np.arange(n)
     sizes = first + 1
     if spec.randomized:
-        mass = ss.cumsum[rows, first]
-        s_last = ss.sorted[rows, first]
+        mass = cumsum[rows, first]
+        s_last = srt[rows, first]
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(s_last > 0, (mass - target) / s_last, 0.0)
         drop = np.asarray(u, dtype=np.float64) <= v
         sizes = sizes - drop.astype(np.int64)
-    return sizes.astype(np.int64)
+    return sizes
+
+
+def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
+    """Prediction-set size of every row under each model, in one pass.
+
+    u is one uniform per row, shared by every randomized model and ignored
+    by the others. Returns one int64 array per model, in order. Sets are
+    prefixes of the sorted order, so row i's set under models[j] is
+    perm[i, :sizes[j][i]].
+
+    Cost model: the rows are walked in blocks of about _SIZE_BLOCK_CELLS
+    cells. In each block the score base is built once per u-mode, and only
+    if some model needs it: u * sorted plus the mass above each rank for
+    randomized aps/raps, the same at u = 1 for deterministic ones, and
+    1 - sorted for lac. Each model then adds its rank penalty (raps with a
+    nonzero penalty only) into one scratch block and counts the ranks whose
+    score is at most its threshold. So m models cost at most three base
+    passes plus one add and one compare pass per model over the n x K
+    scores, and the extra memory is a few blocks, not n x K. naive and
+    fixed_k need no score matrix.
+    """
+    models = tuple(models)
+    n, k = ss.n, ss.n_classes
+    u_rows = None
+    for model in models:
+        if model.n_classes != k:
+            raise DataError(
+                f"model was calibrated for K={model.n_classes}, scores have K={k}"
+            )
+        if model.spec.randomized and u_rows is None:
+            if u is None:
+                raise ValueError("randomized model needs one u per row")
+            u_rows = np.asarray(u, dtype=np.float64)
+            if u_rows.shape != (n,):
+                raise ValueError(f"u must have shape ({n},)")
+
+    out = [np.empty(n, dtype=np.int64) for _ in models]
+    scored = []
+    for model, sizes in zip(models, out):
+        spec = model.spec
+        if spec.method == "fixed_k":
+            u_fixed = u_rows if spec.randomized else 1.0
+            sizes[:] = np.where(u_fixed <= model.mix_prob, model.k_star - 1, model.k_star)
+        else:
+            pen = _penalty_vector(k, spec) if spec.penalty != 0.0 else None
+            scored.append((model, sizes, pen))
+
+    rows = max(1, _SIZE_BLOCK_CELLS // k)
+    buffers: dict[str, np.ndarray] = {}
+
+    def buffer(name: str, used: int, dtype=np.float64) -> np.ndarray:
+        # One block-sized array per name, made on first use, reused after.
+        if name not in buffers:
+            buffers[name] = np.empty((min(rows, n), k), dtype=dtype)
+        return buffers[name][:used]
+
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        srt, cumsum = ss.sorted[lo:hi], ss.cumsum[lo:hi]
+        u_block = u_rows[lo:hi] if u_rows is not None else None
+        bases: dict[str, np.ndarray] = {}
+        for model, sizes, pen in scored:
+            spec = model.spec
+            if spec.method == "naive":
+                sizes[lo:hi] = _naive_sizes(srt, cumsum, spec, u_block)
+                continue
+            mode = "lac" if spec.method == "lac" else "u" if spec.randomized else "one"
+            base = bases.get(mode)
+            if base is None:
+                if mode == "lac":
+                    base = np.subtract(1.0, srt, out=buffer(mode, hi - lo))
+                else:
+                    at = u_block[:, None] if mode == "u" else 1.0
+                    base = _aps_base(srt, cumsum, at, buffer(mode, hi - lo))
+                bases[mode] = base
+            if pen is not None:
+                base = np.add(base, pen, out=buffer("penalized", hi - lo))
+            inside = np.less_equal(base, model.tau_hat, out=buffer("inside", hi - lo, bool))
+            # A byte sum into int32 counts about twice as fast as count_nonzero.
+            sizes[lo:hi] = np.add.reduce(inside.view(np.uint8), axis=1, dtype=np.int32)
+
+    for model, sizes, _ in scored:
+        spec = model.spec
+        if spec.boundary_inclusive and not spec.randomized and spec.method in ("aps", "raps"):
+            np.minimum(sizes + 1, k, out=sizes)
+    return out
 
 
 def set_sizes(model: ConformalModel, ss: SortedScores, u=None) -> np.ndarray:
@@ -251,34 +335,10 @@ def set_sizes(model: ConformalModel, ss: SortedScores, u=None) -> np.ndarray:
 
     u is one uniform per row for randomized methods, ignored otherwise.
     Sets are prefixes of the sorted order, so row i's set is
-    perm[i, :sizes[i]].
+    perm[i, :sizes[i]]. This is :func:`set_sizes_many` for one model, so
+    it walks the rows in the same blocks and holds no n x K temporary.
     """
-    spec = model.spec
-    if ss.n_classes != model.n_classes:
-        raise DataError(
-            f"model was calibrated for K={model.n_classes}, scores have K={ss.n_classes}"
-        )
-    if spec.randomized:
-        if u is None:
-            raise ValueError("randomized model needs one u per row")
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (ss.n,):
-            raise ValueError(f"u must have shape ({ss.n},)")
-    else:
-        u = 1.0
-
-    if spec.method == "naive":
-        return _naive_sizes(ss, spec, u)
-    if spec.method == "fixed_k":
-        take_small = np.asarray(u) <= model.mix_prob
-        sizes = np.where(take_small, model.k_star - 1, model.k_star)
-        return np.broadcast_to(sizes, (ss.n,)).astype(np.int64)
-
-    scores = _score_rows(ss, spec, u)
-    sizes = (scores <= model.tau_hat).sum(axis=1).astype(np.int64)
-    if spec.boundary_inclusive and not spec.randomized and spec.method in ("aps", "raps"):
-        sizes = np.minimum(sizes + 1, ss.n_classes)
-    return sizes
+    return set_sizes_many((model,), ss, u)[0]
 
 
 def predict(model: ConformalModel, ss: SortedScores, row: int, u: float | None = None) -> PredictionSet:
@@ -315,8 +375,12 @@ def set_size_given_u(model: ConformalModel, ss: SortedScores, row: int) -> tuple
         tau = 1.0 - spec.alpha
     else:
         tau = model.tau_hat
-    s0 = _score_rows(one, spec, 0.0)[0]
-    s1 = _score_rows(one, spec, 1.0)[0]
+    if spec.method == "lac":
+        s0 = s1 = 1.0 - one.sorted[0]
+    else:
+        pen = _penalty_vector(one.n_classes, spec)
+        s0 = _aps_base(one.sorted, one.cumsum, 0.0, np.empty_like(one.sorted))[0] + pen
+        s1 = _aps_base(one.sorted, one.cumsum, 1.0, np.empty_like(one.sorted))[0] + pen
     size0 = int((s0 <= tau).sum())
     size1 = int((s1 <= tau).sum())
     if size0 == size1:

@@ -91,7 +91,9 @@ def fit_temperature(
     so any tol returns; the midpoint is the fitted temperature. If T=1 lies
     in the bracket and happens to beat the fitted point (flat optimum), 1 is
     returned instead, so scaling never hurts the training objective.
-    Deterministic: identical inputs give bit-identical output.
+    Deterministic: identical inputs give bit-identical output. The bounds
+    must satisfy 0 < t_lo < t_hi with 2 * t_hi finite (t_hi up to about
+    9e307), so the midpoint a + b of any two points cannot overflow.
 
     ``nll_before`` comes from one call of :func:`nll`; the search shifts the
     logits once more and then costs one divide+exp pass through a reused
@@ -102,6 +104,11 @@ def fit_temperature(
     lo, hi = bounds
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < t_lo < t_hi < inf, got ({lo}, {hi})")
+    if math.isinf(hi + hi):
+        raise ValueError(
+            f"t_hi must be at most half the largest float, so that the midpoint "
+            f"of two temperatures in the bracket stays finite, got {hi}"
+        )
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     base = nll(m, 1.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,6 +112,8 @@ class SortedScores:
     sorted: np.ndarray
     perm: np.ndarray
     cumsum: np.ndarray
+    # (copy of the last labels ranked, their ranks); see label_ranks.
+    _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.sorted, self.perm, self.cumsum):
@@ -131,13 +133,25 @@ class SortedScores:
         )
 
     def label_ranks(self, labels: np.ndarray) -> np.ndarray:
-        """1-based rank of each row's label in that row's sorted order."""
+        """1-based rank of each row's label in that row's sorted order.
+
+        The result is read-only and memoized for the last labels ranked,
+        compared by value against a private copy, so calibration, tuning
+        and measurement on one split build the inverse permutation once.
+        """
         n, k = self.perm.shape
         labels = np.asarray(labels)
         _check(labels.shape == (n,), "labels must be one integer per row")
+        if self._ranked is not None:
+            seen, ranks = self._ranked
+            if seen.dtype == labels.dtype and np.array_equal(seen, labels):
+                return ranks
         inv = np.empty_like(self.perm)
         np.put_along_axis(inv, self.perm, np.broadcast_to(np.arange(k), (n, k)), axis=1)
-        return inv[np.arange(n), labels] + 1
+        ranks = inv[np.arange(n), labels] + 1
+        ranks.setflags(write=False)
+        object.__setattr__(self, "_ranked", (labels.copy(), ranks))
+        return ranks
 
 
 def check_temperature(temperature: float) -> None:

@@ -127,23 +127,30 @@ def oracle_coverage(
         raise ValueError("oracle_coverage covers the threshold methods, not fixed_k")
     if mspec.method != "naive" and n_cal < 1:
         raise ValueError(f"{mspec.method} needs a calibration split")
-    covered = []
-    for t in range(n_trials):
-        trial_seed = seeds.child_seed(seed, seeds.TRIAL, t)
-        data_spec = replace(spec, n=n_cal + n_eval, seed=seeds.child_seed(trial_seed, seeds.SYNTH))
-        _, observed = generate(data_spec)
-        if mspec.method == "naive":
-            model = naive_model(mspec.alpha, observed.n_classes, mspec.randomized)
-            ev = observed
-        else:
-            idx = np.arange(observed.n)
-            cal = observed.take(idx[:n_cal])
-            ev = observed.take(idx[n_cal:])
-            ss_cal = sort_scores(cal, seeds.child_seed(trial_seed, seeds.SORT, 0))
-            model = calibrate(ss_cal, cal.labels, mspec, seed=trial_seed)
-        ss_ev = sort_scores(ev, seeds.child_seed(trial_seed, seeds.SORT, 1))
-        u = seeds.rng(trial_seed, seeds.EVAL_U).random(ss_ev.n) if mspec.randomized else None
-        sizes = set_sizes(model, ss_ev, u)
-        ranks = ss_ev.label_ranks(ev.labels)
-        covered.append(np.mean(ranks <= sizes))
+    covered = [
+        _oracle_trial(spec, mspec, n_cal, n_eval, seeds.child_seed(seed, seeds.TRIAL, t))
+        for t in range(n_trials)
+    ]
     return float(np.mean(covered))
+
+
+def _oracle_trial(
+    spec: SynthSpec, mspec: MethodSpec, n_cal: int, n_eval: int, trial_seed: int
+) -> float:
+    """Coverage of one oracle_coverage trial; its data is released on return."""
+    data_spec = replace(spec, n=n_cal + n_eval, seed=seeds.child_seed(trial_seed, seeds.SYNTH))
+    _, observed = generate(data_spec)
+    if mspec.method == "naive":
+        model = naive_model(mspec.alpha, observed.n_classes, mspec.randomized)
+        ev = observed
+    else:
+        idx = np.arange(observed.n)
+        cal = observed.take(idx[:n_cal])
+        ev = observed.take(idx[n_cal:])
+        ss_cal = sort_scores(cal, seeds.child_seed(trial_seed, seeds.SORT, 0))
+        model = calibrate(ss_cal, cal.labels, mspec, seed=trial_seed)
+    ss_ev = sort_scores(ev, seeds.child_seed(trial_seed, seeds.SORT, 1))
+    u = seeds.rng(trial_seed, seeds.EVAL_U).random(ss_ev.n) if mspec.randomized else None
+    sizes = set_sizes(model, ss_ev, u)
+    ranks = ss_ev.label_ranks(ev.labels)
+    return np.mean(ranks <= sizes)

@@ -6,7 +6,9 @@ split, calibrates on the calibration split, and measures everything on the
 evaluation split. Per-trial seeds are derived from the master seed and the
 trial index alone, so trials are independent of execution order and safe to
 parallelize; all methods inside one trial share the same splits and the same
-per-row randomization variates.
+per-row randomization variates. A trial sorts each split once, and one
+set_sizes_many pass over the evaluation rows sizes every method's sets, so
+adding a method to a trial costs its fit and its counts, not another sort.
 
 Summary numbers are medians across trials of per-trial means (median of
 means), which keeps a single weird split from dominating the summary.
@@ -19,16 +21,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import seeds
-from .conformal import ConformalModel, MethodSpec, calibrate, naive_model, set_sizes
+from .conformal import ConformalModel, MethodSpec, calibrate, naive_model, set_sizes_many
 from .metrics import (
     DifficultyRow,
+    EvalReport,
     StratumRow,
     default_difficulty_bins,
     default_strata,
-    difficulty_rows,
-    size_histogram,
-    sscv_from_arrays,
-    strata_rows,
+    evaluate_arrays,
 )
 from .score_store import ScoreMatrix, SortedScores, SplitSpec, sort_scores, split
 from .synth import SynthSpec, generate
@@ -195,33 +195,16 @@ def _fit_method(data: _TrialData, policy: MethodPolicy) -> ConformalModel:
     return calibrate(data.ss_cal, data.y_cal, spec, seed=data.trial_seed)
 
 
-def _measure(data: _TrialData, model: ConformalModel, strata, bins) -> dict:
-    u = data.u_eval if model.spec.randomized else None
-    sizes = set_sizes(model, data.ss_eval, u)
-    covered = data.ranks_eval <= sizes
-    return {
-        "coverage": float(np.mean(covered)),
-        "avg_size": float(np.mean(sizes)),
-        "sscv": sscv_from_arrays(sizes, covered, strata, model.spec.alpha),
-        "top1": float(np.mean(data.ranks_eval <= 1)),
-        "top5": float(np.mean(data.ranks_eval <= 5)),
-        "penalty": model.spec.penalty,
-        "kreg": model.spec.kreg,
-        "hist": size_histogram(sizes),
-        "strata_rows": strata_rows(sizes, covered, strata),
-        "difficulty_rows": difficulty_rows(data.ranks_eval, sizes, covered, bins),
-    }
-
-
-def _aggregate(results: list[dict]) -> TrialAggregate:
+def _aggregate(results: list[tuple[EvalReport, MethodSpec]]) -> TrialAggregate:
+    reports = [report for report, _ in results]
     hist: dict[int, int] = {}
-    for r in results:
-        for s, c in r["hist"].items():
+    for r in reports:
+        for s, c in r.size_hist.items():
             hist[s] = hist.get(s, 0) + c
 
     strata_acc: dict[tuple, list] = {}
-    for r in results:
-        for row in r["strata_rows"]:
+    for r in reports:
+        for row in r.per_stratum:
             acc = strata_acc.setdefault((row.lo, row.hi), [0, []])
             acc[0] += row.count
             if row.coverage is not None:
@@ -232,8 +215,8 @@ def _aggregate(results: list[dict]) -> TrialAggregate:
     )
 
     diff_acc: dict[tuple, list] = {}
-    for r in results:
-        for row in r["difficulty_rows"]:
+    for r in reports:
+        for row in r.per_difficulty:
             acc = diff_acc.setdefault((row.lo, row.hi), [0, [], []])
             acc[0] += row.count
             if row.coverage is not None:
@@ -248,18 +231,18 @@ def _aggregate(results: list[dict]) -> TrialAggregate:
         for (lo, hi), (cnt, covs, szs) in diff_acc.items()
     )
 
-    def arr(key):
-        return np.array([r[key] for r in results], dtype=np.float64)
+    def arr(values):
+        return np.array(list(values), dtype=np.float64)
 
     return TrialAggregate(
         n_trials=len(results),
-        coverage=arr("coverage"),
-        avg_size=arr("avg_size"),
-        sscv=arr("sscv"),
-        top1=arr("top1"),
-        top5=arr("top5"),
-        penalties=arr("penalty"),
-        kregs=arr("kreg"),
+        coverage=arr(r.coverage for r in reports),
+        avg_size=arr(r.avg_size for r in reports),
+        sscv=arr(r.sscv for r in reports),
+        top1=arr(r.top1 for r in reports),
+        top5=arr(r.top5 for r in reports),
+        penalties=arr(spec.penalty for _, spec in results),
+        kregs=arr(spec.kreg for _, spec in results),
         size_hist=dict(sorted(hist.items())),
         per_stratum=per_stratum,
         per_difficulty=per_difficulty,
@@ -272,14 +255,45 @@ def _resolve_tables(protocol: TrialProtocol, n_classes: int) -> tuple[tuple, tup
     return strata, bins
 
 
+def _run_trial(
+    draw, trial_seed: int, protocol: TrialProtocol, policies: dict[str, MethodPolicy],
+    strata, bins,
+) -> dict[str, tuple[EvalReport, MethodSpec]]:
+    """Draw one trial's splits, fit every policy, and measure every model.
+
+    The splits are sorted once, and one set_sizes_many call sizes the sets
+    of all the trial's models on the evaluation split. Everything drawn
+    here is released on return, before the next trial draws its data.
+    """
+    data = _prepare(*draw(trial_seed), protocol, trial_seed)
+    models = [_fit_method(data, policy) for policy in policies.values()]
+    all_sizes = set_sizes_many(models, data.ss_eval, data.u_eval)
+    return {
+        name: (evaluate_arrays(sizes, data.ranks_eval, model.spec.alpha, strata, bins),
+               model.spec)
+        for name, model, sizes in zip(policies, models, all_sizes)
+    }
+
+
+def _run_trials(
+    draw, n_classes: int, protocol: TrialProtocol, policies: dict[str, MethodPolicy]
+) -> dict[str, TrialAggregate]:
+    """The trial loop; draw(trial_seed) gives (tuning, calibration, evaluation)."""
+    strata, bins = _resolve_tables(protocol, n_classes)
+    results: dict[str, list] = {name: [] for name in policies}
+    for t in range(protocol.n_trials):
+        trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
+        for name, measured in _run_trial(draw, trial_seed, protocol, policies, strata, bins).items():
+            results[name].append(measured)
+    return {name: _aggregate(rs) for name, rs in results.items()}
+
+
 def run_trials_multi(
     m: ScoreMatrix, protocol: TrialProtocol, policies: dict[str, MethodPolicy]
 ) -> dict[str, TrialAggregate]:
     """Random re-splits of one fixed matrix; methods share each trial's data."""
-    strata, bins = _resolve_tables(protocol, m.n_classes)
-    results: dict[str, list] = {name: [] for name in policies}
-    for t in range(protocol.n_trials):
-        trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
+
+    def draw(trial_seed: int):
         spec = SplitSpec(
             seed=trial_seed,
             sizes=(protocol.tune_size, protocol.cal_size, protocol.eval_size),
@@ -287,11 +301,9 @@ def run_trials_multi(
         tune_m, cal_m, eval_m = split(m, spec)
         if cal_m is None or eval_m is None:
             raise ValueError("calibration and evaluation splits must be nonempty")
-        data = _prepare(tune_m, cal_m, eval_m, protocol, trial_seed)
-        for name, policy in policies.items():
-            model = _fit_method(data, policy)
-            results[name].append(_measure(data, model, strata, bins))
-    return {name: _aggregate(rs) for name, rs in results.items()}
+        return tune_m, cal_m, eval_m
+
+    return _run_trials(draw, m.n_classes, protocol, policies)
 
 
 def run_trials(m: ScoreMatrix, protocol: TrialProtocol, policy: MethodPolicy) -> TrialAggregate:
@@ -309,21 +321,15 @@ def run_synth_trials(
         if isinstance(s, float):
             raise ValueError("synthetic trials need absolute split sizes")
     n_total = protocol.tune_size + protocol.cal_size + protocol.eval_size
-    strata, bins = _resolve_tables(protocol, sspec.n_classes)
-    results: dict[str, list] = {name: [] for name in policies}
-    for t in range(protocol.n_trials):
-        trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
+    a, b = protocol.tune_size, protocol.tune_size + protocol.cal_size
+
+    def draw(trial_seed: int):
         data_spec = replace(
             sspec, n=n_total, seed=seeds.child_seed(trial_seed, seeds.SYNTH)
         )
         _, observed = generate(data_spec)
         idx = np.arange(n_total)
-        a, b = protocol.tune_size, protocol.tune_size + protocol.cal_size
         tune_m = observed.take(idx[:a]) if a > 0 else None
-        cal_m = observed.take(idx[a:b])
-        eval_m = observed.take(idx[b:])
-        data = _prepare(tune_m, cal_m, eval_m, protocol, trial_seed)
-        for name, policy in policies.items():
-            model = _fit_method(data, policy)
-            results[name].append(_measure(data, model, strata, bins))
-    return {name: _aggregate(rs) for name, rs in results.items()}
+        return tune_m, observed.take(idx[a:b]), observed.take(idx[b:])
+
+    return _run_trials(draw, sspec.n_classes, protocol, policies)

@@ -278,6 +278,26 @@ def test_experiment_with_sweep_writes_grid(tmp_path):
     assert ks == {1, 2, 5}
 
 
+def test_experiment_sweep_does_not_change_the_method_results(tmp_path):
+    # the sweep shares the methods' trial loop; every method file must be the
+    # same bytes as in a run without it
+    args = [
+        "experiment", "--k", "10", "--trials", "2", "--tune-size", "60",
+        "--cal-size", "80", "--eval-size", "80", "--methods", "naive,aps,raps,lac,fixed_k",
+        "--alpha", "0.2", "--seed", "5",
+    ]
+    with_sweep, without = tmp_path / "sweep", tmp_path / "nosweep"
+    assert run(args + ["--out", str(with_sweep)]) == 0
+    assert run(args + ["--no-sweep", "--out", str(without)]) == 0
+    assert (with_sweep / "sweep.csv").exists()
+    assert not (without / "sweep.csv").exists()
+    # config_used.json records the flags, --no-sweep included
+    names = sorted(p.name for p in without.iterdir() if p.name != "config_used.json")
+    assert "summary.csv" in names and "hist_raps.csv" in names
+    for name in names:
+        assert (with_sweep / name).read_bytes() == (without / name).read_bytes(), name
+
+
 def test_experiment_tuned_raps_needs_tune_split(tmp_path, capsys):
     code = run([
         "experiment", "--k", "6", "--trials", "1", "--cal-size", "50",
@@ -337,6 +357,19 @@ def test_non_finite_temperature_is_usage_error(tmp_path, capsys, command, value)
     assert run(args + [f"--temperature={value}", "--out", str(tmp_path / "o")]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_fit_temp_with_overflowing_bracket_is_usage_error(tmp_path, capsys):
+    g = np.random.default_rng(3)
+    m = cset.ScoreMatrix(g.normal(size=(50, 5)), g.integers(0, 5, 50), "logits")
+    cset.save_scores(m, str(tmp_path / "logits.bin"), "binary")
+    code = run([
+        "fit-temp", "--input", str(tmp_path / "logits.bin"), "--t-hi", "1.7e308",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "half the largest float" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "temperature.txt").exists()
 
 
 @pytest.mark.parametrize("flag", ["--t-lo", "--t-hi", "--t-tol"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import cset
 from cset.conformal import (
+    _SIZE_BLOCK_CELLS,
     ConformalModel,
     MethodSpec,
     as_deterministic,
@@ -19,6 +20,7 @@ from cset.conformal import (
     predict,
     set_size_given_u,
     set_sizes,
+    set_sizes_many,
 )
 from cset.score_store import DataError, ScoreMatrix, sort_scores
 
@@ -430,3 +432,151 @@ def test_as_deterministic_flips_flag():
     det = as_deterministic(model)
     assert det.spec.randomized is False
     assert det.tau_hat == model.tau_hat
+
+
+# --------------------------------------------- set_sizes_many vs the old formula
+
+
+def _old_set_sizes(model, ss, u):
+    """set_sizes as one whole-matrix formula per model: rho + u*s + penalty."""
+    spec, k = model.spec, ss.n_classes
+    u = np.asarray(u, dtype=np.float64) if spec.randomized else 1.0
+    if spec.method == "fixed_k":
+        sizes = np.where(np.asarray(u) <= model.mix_prob, model.k_star - 1, model.k_star)
+        return np.broadcast_to(sizes, (ss.n,)).astype(np.int64)
+    if spec.method == "naive":
+        target = 1.0 - spec.alpha
+        first = np.minimum((ss.cumsum < target).sum(axis=1), k - 1)
+        rows = np.arange(ss.n)
+        sizes = first + 1
+        if spec.randomized:
+            s_last = ss.sorted[rows, first]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = np.where(s_last > 0, (ss.cumsum[rows, first] - target) / s_last, 0.0)
+            sizes = sizes - (u <= v).astype(np.int64)
+        return sizes.astype(np.int64)
+    if spec.method == "lac":
+        scores = 1.0 - ss.sorted
+    else:
+        rho = np.empty_like(ss.cumsum)
+        rho[:, 0] = 0.0
+        rho[:, 1:] = ss.cumsum[:, :-1]
+        if spec.penalty == 0.0:
+            pen = np.zeros(k)
+        else:
+            pen = spec.penalty * np.maximum(np.arange(1, k + 1) - spec.kreg, 0)
+        u = u[:, None] if np.ndim(u) == 1 else u
+        scores = rho + u * ss.sorted + pen
+    sizes = (scores <= model.tau_hat).sum(axis=1).astype(np.int64)
+    if spec.boundary_inclusive and not spec.randomized and spec.method in ("aps", "raps"):
+        sizes = np.minimum(sizes + 1, k)
+    return sizes
+
+
+SIZE_ROW_SHAPES = ("tie_free", "sparse_signed_zero", "integer_ties")
+
+
+def _size_rows(shape, n, k, seed):
+    g = np.random.default_rng(seed)
+    if shape == "tie_free":
+        x = g.random((n, k)) + 0.01
+    elif shape == "integer_ties":
+        x = g.integers(1, 4, (n, k)).astype(float)
+    else:
+        x = g.random((n, k))
+        x[g.random((n, k)) < 0.7] = 0.0
+        x[np.arange(n), g.integers(0, k, n)] += 1.0
+    x /= x.sum(axis=1, keepdims=True)
+    if shape == "sparse_signed_zero":
+        x[(x == 0.0) & (g.random((n, k)) < 0.5)] = -0.0
+    ss = sort_scores(ScoreMatrix(x, g.integers(0, k, n), "probabilities"), seed)
+    u = g.random(n)
+    u[g.random(n) < 0.05] = 0.0
+    u[g.random(n) < 0.05] = 1.0
+    return ss, u
+
+
+@st.composite
+def size_cases(draw):
+    """Rows spanning up to three blocks (K never divides the block), a
+    shared u, and a mixed list of models with thresholds that include an
+    empty set, +inf, and exact score values (equality at the threshold)."""
+    k = draw(st.sampled_from([3, 7, 100, 257]))
+    rows = _SIZE_BLOCK_CELLS // k
+    n = draw(st.one_of(
+        st.integers(1, 3 * rows + 7),
+        st.builds(lambda j, d: max(1, j * rows + d), st.integers(1, 3), st.integers(-2, 2)),
+    ))
+    ss, u = _size_rows(draw(st.sampled_from(SIZE_ROW_SHAPES)), n, k,
+                       draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for _ in range(draw(st.integers(1, 8))):
+        method = draw(st.sampled_from(("naive", "fixed_k", "lac", "aps", "raps")))
+        randomized = draw(st.booleans())
+        alpha = draw(st.sampled_from([0.05, 0.1, 0.3]))
+        if method == "naive":
+            models.append(naive_model(alpha, k, randomized))
+            continue
+        if method == "fixed_k":
+            spec = MethodSpec("fixed_k", alpha, randomized=randomized)
+            k_star = draw(st.integers(1, k))
+            models.append(ConformalModel(spec, math.inf, 10, 0, k,
+                                         k_star=k_star, mix_prob=draw(st.floats(0.0, 1.0))))
+            continue
+        penalty = draw(st.sampled_from([0.0, 1e-3, 0.3, 2.0])) if method == "raps" else 0.0
+        spec = MethodSpec(method, alpha, penalty=penalty, kreg=draw(st.integers(1, 6)),
+                          randomized=randomized, boundary_inclusive=draw(st.booleans()))
+        tau_kind = draw(st.sampled_from(("float", "empty", "inf", "at_score")))
+        if tau_kind == "float":
+            tau = draw(st.floats(0.0, 2.5))
+        elif tau_kind == "empty":
+            tau = -1e300
+        elif tau_kind == "inf":
+            tau = math.inf
+        else:
+            probe = ConformalModel(spec, 0.0, 10, 0, k)
+            row = draw(st.integers(0, n - 1))
+            rank = draw(st.integers(1, k))
+            u_row = u[row] if randomized else 1.0
+            tau = conformity_score(ss, row, rank, u_row, probe.spec)
+        models.append(ConformalModel(spec, tau, 10, 0, k))
+    return ss, u, models
+
+
+@given(size_cases())
+def test_set_sizes_many_matches_per_model_formula(case):
+    ss, u, models = case
+    got = set_sizes_many(models, ss, u)
+    assert len(got) == len(models)
+    for model, sizes in zip(models, got):
+        want = _old_set_sizes(model, ss, u)
+        assert sizes.dtype == np.int64
+        np.testing.assert_array_equal(sizes, want, err_msg=repr(model.spec))
+        np.testing.assert_array_equal(set_sizes(model, ss, u), want)
+
+
+def test_set_sizes_many_penalty_starts_past_kreg():
+    # a penalty so large that one penalized rank prices a class out: the set
+    # is exactly the first kreg ranks whatever the threshold below 1
+    ss, u = _size_rows("tie_free", 2 * (_SIZE_BLOCK_CELLS // 5) + 3, 5, 4)
+    for kreg in (1, 2, 4):
+        spec = MethodSpec("raps", 0.1, penalty=10.0, kreg=kreg, randomized=False)
+        model = ConformalModel(spec, 1.0 + 1e-9, 10, 0, 5)
+        (sizes,) = set_sizes_many([model], ss, u)
+        np.testing.assert_array_equal(sizes, np.full(ss.n, kreg))
+
+
+def test_set_sizes_many_checks_every_model():
+    ss, u = _size_rows("tie_free", 10, 4, 0)
+    good = ConformalModel(MethodSpec("aps", 0.1), 0.5, 10, 0, 4)
+    wrong_k = ConformalModel(MethodSpec("aps", 0.1), 0.5, 10, 0, 5)
+    with pytest.raises(DataError):
+        set_sizes_many([good, wrong_k], ss, u)
+    with pytest.raises(ValueError, match="one u per row"):
+        set_sizes_many([as_deterministic(good), good], ss)
+    with pytest.raises(ValueError, match="shape"):
+        set_sizes_many([good], ss, u[:-1])
+    # deterministic models never look at u
+    (sizes,) = set_sizes_many([as_deterministic(good)], ss)
+    np.testing.assert_array_equal(sizes, _old_set_sizes(as_deterministic(good), ss, None))
+    assert set_sizes_many([], ss, u) == []

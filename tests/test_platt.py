@@ -216,3 +216,21 @@ def test_fit_rejects_non_finite_bounds(bounds):
 def test_fit_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
         cset.fit_temperature(_small_logits(), tol=tol)
+
+
+def test_fit_rejects_bracket_whose_midpoint_overflows():
+    with pytest.raises(ValueError, match="half the largest float"):
+        cset.fit_temperature(_small_logits(), bounds=(5e-324, 1.7e308), tol=5e-324)
+
+
+def test_fit_on_the_widest_accepted_bracket_stays_finite():
+    # labels on the smallest logit: the nll falls all the way up to t_hi, so
+    # the search ends with both ends of the bracket next to it
+    g = np.random.default_rng(2)
+    z = g.normal(size=(50, 5))
+    t_hi = 8.9e307
+    fit = cset.fit_temperature(
+        ScoreMatrix(z, z.argmin(axis=1), "logits"), bounds=(5e-324, t_hi), tol=5e-324
+    )
+    assert math.isfinite(fit.temperature)
+    assert fit.temperature == pytest.approx(t_hi)

@@ -114,6 +114,49 @@ def test_label_ranks_one_based(three_class_sorted):
     assert ranks[0] == 1
 
 
+def _fresh_ranks(ss, labels):
+    fresh = cset.SortedScores(ss.sorted.copy(), ss.perm.copy(), ss.cumsum.copy())
+    return fresh.label_ranks(np.array(labels))
+
+
+def test_label_ranks_memo_returns_the_same_ranks_for_equal_labels():
+    m = dirichlet_matrix(50, 6, seed=3)
+    ss = cset.sort_scores(m, seed=1)
+    first = ss.label_ranks(m.labels)
+    again = ss.label_ranks(m.labels.copy())
+    assert again is first
+    np.testing.assert_array_equal(first, _fresh_ranks(ss, m.labels))
+
+
+def test_label_ranks_memo_recomputes_for_other_labels():
+    m = dirichlet_matrix(50, 6, seed=4)
+    ss = cset.sort_scores(m, seed=1)
+    ss.label_ranks(m.labels)
+    other = (m.labels + 1) % 6
+    np.testing.assert_array_equal(ss.label_ranks(other), _fresh_ranks(ss, other))
+    # and back: the memo holds the last labels only, and is still right
+    np.testing.assert_array_equal(ss.label_ranks(m.labels), _fresh_ranks(ss, m.labels))
+
+
+def test_label_ranks_result_is_read_only():
+    m = dirichlet_matrix(20, 4, seed=5)
+    ranks = cset.sort_scores(m, seed=0).label_ranks(m.labels)
+    assert not ranks.flags.writeable
+    with pytest.raises(ValueError):
+        ranks[0] = 99
+
+
+def test_label_ranks_memo_ignores_later_changes_to_the_callers_labels():
+    m = dirichlet_matrix(30, 5, seed=6)
+    ss = cset.sort_scores(m, seed=2)
+    labels = m.labels.copy()
+    first = ss.label_ranks(labels)
+    before = first.copy()
+    labels[:] = (labels + 2) % 5
+    np.testing.assert_array_equal(ss.label_ranks(labels), _fresh_ranks(ss, labels))
+    np.testing.assert_array_equal(first, before)
+
+
 def test_cumsum_matches_sorted(three_class_sorted):
     np.testing.assert_allclose(
         three_class_sorted.cumsum, np.cumsum(three_class_sorted.sorted, axis=1)
