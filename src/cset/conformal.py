@@ -145,9 +145,10 @@ def conformal_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def _penalty_vector(k: int, spec: MethodSpec) -> np.ndarray:
+def _penalty_vector(k: int, spec: MethodSpec) -> np.ndarray | None:
+    """Rank penalty of ranks 1..k, or None when the method has none."""
     if spec.penalty == 0.0:
-        return np.zeros(k)
+        return None
     return spec.penalty * np.maximum(np.arange(1, k + 1) - spec.kreg, 0)
 
 
@@ -168,18 +169,26 @@ def conformity_score(ss: SortedScores, row: int, rank: int, u: float, spec: Meth
     return float(rho + u * s + pen)
 
 
-def _aps_base(srt: np.ndarray, cumsum: np.ndarray, u, out: np.ndarray) -> np.ndarray:
-    """aps score of every rank of some rows, before any penalty, into out.
+def _score_base(srt: np.ndarray, cumsum: np.ndarray, method: str, u, out: np.ndarray) -> np.ndarray:
+    """Score of every rank of some rows, before any rank penalty, into out.
 
-    u * (mass at the rank) + (mass strictly above it), the latter being the
-    exact prefix sum one rank back and nothing at rank 1. u is a scalar or
-    one value per row as a column. Float addition commutes, so this equals
-    rho + u * s bit for bit; at rank 1 only the sign of a zero can differ
-    from 0.0 + u * s, which no comparison with a threshold sees.
+    lac: 1 - (mass at the rank); u is ignored. Every other method: the aps
+    score u * (mass at the rank) + (mass strictly above it), the latter
+    being the exact prefix sum one rank back and nothing at rank 1. u is a
+    scalar or one value per row as a column. Float addition commutes, so
+    this equals rho + u * s bit for bit; at rank 1 only the sign of a zero
+    can differ from 0.0 + u * s, which no comparison with a threshold sees.
     """
+    if method == "lac":
+        return np.subtract(1.0, srt, out=out)
     np.multiply(srt, u, out=out)
     out[:, 1:] += cumsum[:, :-1]
     return out
+
+
+def _add_penalty(base: np.ndarray, pen: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """base plus a model's rank penalty, into out; base itself when pen is None."""
+    return base if pen is None else np.add(base, pen, out=out)
 
 
 def calibration_scores(
@@ -286,8 +295,7 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
             u_fixed = u_rows if spec.randomized else 1.0
             sizes[:] = np.where(u_fixed <= model.mix_prob, model.k_star - 1, model.k_star)
         else:
-            pen = _penalty_vector(k, spec) if spec.penalty != 0.0 else None
-            scored.append((model, sizes, pen))
+            scored.append((model, sizes, _penalty_vector(k, spec)))
 
     rows = max(1, _SIZE_BLOCK_CELLS // k)
     buffers: dict[str, np.ndarray] = {}
@@ -309,17 +317,11 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
                 sizes[lo:hi] = _naive_sizes(srt, cumsum, spec, u_block)
                 continue
             mode = "lac" if spec.method == "lac" else "u" if spec.randomized else "one"
-            base = bases.get(mode)
-            if base is None:
-                if mode == "lac":
-                    base = np.subtract(1.0, srt, out=buffer(mode, hi - lo))
-                else:
-                    at = u_block[:, None] if mode == "u" else 1.0
-                    base = _aps_base(srt, cumsum, at, buffer(mode, hi - lo))
-                bases[mode] = base
-            if pen is not None:
-                base = np.add(base, pen, out=buffer("penalized", hi - lo))
-            inside = np.less_equal(base, model.tau_hat, out=buffer("inside", hi - lo, bool))
+            if mode not in bases:
+                at = u_block[:, None] if mode == "u" else 1.0
+                bases[mode] = _score_base(srt, cumsum, spec.method, at, buffer(mode, hi - lo))
+            scores = _add_penalty(bases[mode], pen, buffer("penalized", hi - lo))
+            inside = np.less_equal(scores, model.tau_hat, out=buffer("inside", hi - lo, bool))
             # A byte sum into int32 counts about twice as fast as count_nonzero.
             sizes[lo:hi] = np.add.reduce(inside.view(np.uint8), axis=1, dtype=np.int32)
 
@@ -375,12 +377,13 @@ def set_size_given_u(model: ConformalModel, ss: SortedScores, row: int) -> tuple
         tau = 1.0 - spec.alpha
     else:
         tau = model.tau_hat
-    if spec.method == "lac":
-        s0 = s1 = 1.0 - one.sorted[0]
-    else:
-        pen = _penalty_vector(one.n_classes, spec)
-        s0 = _aps_base(one.sorted, one.cumsum, 0.0, np.empty_like(one.sorted))[0] + pen
-        s1 = _aps_base(one.sorted, one.cumsum, 1.0, np.empty_like(one.sorted))[0] + pen
+    pen = _penalty_vector(one.n_classes, spec)
+
+    def scores(at: float) -> np.ndarray:
+        base = _score_base(one.sorted, one.cumsum, spec.method, at, np.empty_like(one.sorted))
+        return _add_penalty(base, pen, out=base)[0]
+
+    s0, s1 = scores(0.0), scores(1.0)
     size0 = int((s0 <= tau).sum())
     size1 = int((s1 <= tau).sum())
     if size0 == size1:

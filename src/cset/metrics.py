@@ -137,10 +137,7 @@ def sscv_from_arrays(sizes: np.ndarray, covered: np.ndarray, strata, alpha: floa
     Strata are disjoint integer ranges of set size; empty strata are
     skipped. Zero only when every nonempty stratum hits 1 - alpha exactly.
     """
-    return _sscv_from_rows(strata_rows(np.asarray(sizes), np.asarray(covered), strata), alpha)
-
-
-def _sscv_from_rows(rows: tuple, alpha: float) -> float:
+    rows = strata_rows(np.asarray(sizes), np.asarray(covered), strata)
     gaps = [abs(r.coverage - (1.0 - alpha)) for r in rows if r.coverage is not None]
     if not gaps:
         raise DataError("all strata empty")
@@ -196,16 +193,15 @@ def evaluate_arrays(
 ) -> EvalReport:
     """Full report from set sizes and true-label ranks (prefix sets)."""
     covered = ranks <= sizes
-    per_stratum = strata_rows(sizes, covered, strata)
     return EvalReport(
         n_eval=int(sizes.size),
         coverage=float(np.mean(covered)),
         avg_size=float(np.mean(sizes)),
-        sscv=_sscv_from_rows(per_stratum, alpha),
+        sscv=sscv_from_arrays(sizes, covered, strata, alpha),
         top1=float(np.mean(ranks <= 1)),
         top5=float(np.mean(ranks <= 5)),
         size_hist=size_histogram(sizes),
-        per_stratum=per_stratum,
+        per_stratum=strata_rows(sizes, covered, strata),
         per_difficulty=difficulty_rows(ranks, sizes, covered, bins),
     )
 
