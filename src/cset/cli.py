@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .conformal import (
     save_model,
     set_sizes,
 )
-from .metrics import evaluate_model
+from .metrics import _validate_strata, evaluate_model
 from .platt import DEFAULT_BOUNDS, DEFAULT_TOL, fit_temperature
 from .reports import (
     difficulty_csv,
@@ -111,9 +112,10 @@ def _strata(s: str) -> tuple:
             out.append((int(lo), int(hi if hi else lo)))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad strata {s!r}, expected like 0-1,2-3,4-10") from None
-    if not out:
-        raise argparse.ArgumentTypeError("empty strata")
-    return tuple(out)
+    try:
+        return _validate_strata(out)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _method_list(s: str) -> tuple:
@@ -128,12 +130,10 @@ def _method_list(s: str) -> tuple:
 
 # --- output helpers -------------------------------------------------------
 
-def _write(outdir: str, name: str, text: str) -> str:
+def _out(outdir: str, name: str) -> str:
+    """Path of the output file `name`, creating `outdir` if needed."""
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
+    return os.path.join(outdir, name)
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -142,20 +142,31 @@ def _echo_config(args: argparse.Namespace) -> None:
         return
     skip = {"func", "config"}
     d = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    _write(out, "config_used.json", json.dumps(d, indent=2, sort_keys=True, default=list) + "\n")
+    text = json.dumps(d, indent=2, sort_keys=True, default=list) + "\n"
+    Path(_out(out, "config_used.json")).write_text(text)
 
 
-def _require_probabilities(m, args):
-    t = getattr(args, "temperature", None)
+def _write_tables(outdir: str, result, suffix: str = "") -> None:
+    """The size histogram, strata and difficulty CSVs of one report or aggregate."""
+    for kind, render in (("hist", hist_csv), ("strata", strata_csv),
+                         ("difficulty", difficulty_csv)):
+        Path(_out(outdir, f"{kind}{suffix}.csv")).write_text(render(result))
+
+
+def _load_sorted(args):
+    """Load --input as probabilities (softmax at --temperature for logits) and sort it."""
+    m = load_scores(args.input, "auto")
+    t = args.temperature
     if m.kind == "probabilities":
         if t is not None:
             raise ValueError("--temperature only applies to logit inputs")
-        return m
-    if t is None:
+    elif t is None:
         raise DataError(
             "input holds logits; fit a temperature with fit-temp and pass --temperature"
         )
-    return softmax(m, t)
+    else:
+        m = softmax(m, t)
+    return m, sort_scores(m, args.seed)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -165,17 +176,10 @@ def cmd_ingest(args) -> int:
     print(f"n={m.n} K={m.n_classes} kind={m.kind}")
     if args.out:
         ext = "csv" if args.to == "csv" else "bin"
-        path = _write_scores(m, args.out, f"scores.{ext}", args.to)
-        _echo_config(args)
+        path = _out(args.out, f"scores.{ext}")
+        save_scores(m, path, args.to)
         print(f"wrote {path}")
     return 0
-
-
-def _write_scores(m, outdir, name, fmt) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    save_scores(m, path, fmt)
-    return path
 
 
 def cmd_synth(args) -> int:
@@ -188,9 +192,8 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     truth, observed = generate(spec)
-    _write_scores(observed, args.out, "observed.bin", "binary")
-    _write_scores(truth, args.out, "true_probs.bin", "binary")
-    _echo_config(args)
+    save_scores(observed, _out(args.out, "observed.bin"), "binary")
+    save_scores(truth, _out(args.out, "true_probs.bin"), "binary")
     print(f"wrote {args.out}/observed.bin and true_probs.bin (n={spec.n}, K={spec.n_classes})")
     return 0
 
@@ -206,15 +209,13 @@ def cmd_fit_temp(args) -> int:
         f"nll_after = {fit.nll_after!r}\n"
         f"iterations = {fit.iterations}\n"
     )
-    _write(args.out, "temperature.txt", text)
-    _echo_config(args)
+    Path(_out(args.out, "temperature.txt")).write_text(text)
     print(f"temperature={fit.temperature:.6g} nll {fit.nll_before:.6g} -> {fit.nll_after:.6g}")
     return 0
 
 
 def cmd_tune(args) -> int:
-    m = _require_probabilities(load_scores(args.input, "auto"), args)
-    ss = sort_scores(m, args.seed)
+    m, ss = _load_sorted(args)
     if args.tune_objective == "size":
         grid = args.lambda_grid if args.lambda_grid is not None else SIZE_LAMBDA_GRID
         res = tune_for_size(ss, m.labels, args.alpha, grid, seed=args.seed)
@@ -230,15 +231,13 @@ def cmd_tune(args) -> int:
         f"lambda = {res.penalty!r}",
         "grid = " + " ".join(f"{lam!r}:{val!r}" for lam, val in res.grid),
     ]
-    _write(args.out, "tune.txt", "\n".join(lines) + "\n")
-    _echo_config(args)
+    Path(_out(args.out, "tune.txt")).write_text("\n".join(lines) + "\n")
     print(f"objective={res.objective} k_reg={res.kreg} lambda={res.penalty:g}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    m = _require_probabilities(load_scores(args.input, "auto"), args)
-    ss = sort_scores(m, args.seed)
+    m, ss = _load_sorted(args)
     spec = MethodSpec(
         method=args.method,
         alpha=args.alpha,
@@ -253,41 +252,31 @@ def cmd_calibrate(args) -> int:
         model = make_fixed_k_model(ss, m.labels, spec.alpha, args.seed, spec.randomized)
     else:
         model = calibrate(ss, m.labels, spec, seed=args.seed)
-    path = _write_model(model, args.out)
-    _echo_config(args)
+    path = _out(args.out, "model.txt")
+    save_model(model, path)
     extra = f" k_star={model.k_star} mix_prob={model.mix_prob:g}" if model.k_star else ""
     print(f"method={spec.method} tau_hat={model.tau_hat:.12g} n_cal={model.n_cal}{extra}")
     print(f"wrote {path}")
     return 0
 
 
-def _write_model(model, outdir) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "model.txt")
-    save_model(model, path)
-    return path
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    m = _require_probabilities(load_scores(args.input, "auto"), args)
-    ss = sort_scores(m, args.seed)
+    _, ss = _load_sorted(args)
     u = seeds.rng(args.seed, seeds.EVAL_U).random(ss.n) if model.spec.randomized else None
     sizes = set_sizes(model, ss, u)
     lines = []
     for i in range(ss.n):
         classes = ss.perm[i, : sizes[i]]
         lines.append(",".join([str(i), str(int(sizes[i]))] + [str(int(c)) for c in classes]))
-    _write(args.out, "predictions.csv", "\n".join(lines) + "\n")
-    _echo_config(args)
+    Path(_out(args.out, "predictions.csv")).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out}/predictions.csv ({ss.n} sets, mean size {float(np.mean(sizes)):.3f})")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    m = _require_probabilities(load_scores(args.input, "auto"), args)
-    ss = sort_scores(m, args.seed)
+    m, ss = _load_sorted(args)
     report = evaluate_model(model, ss, m.labels, seed=args.seed, strata=args.strata)
     lines = [
         f"n_eval = {report.n_eval}",
@@ -297,24 +286,10 @@ def cmd_evaluate(args) -> int:
         f"top1 = {report.top1!r}",
         f"top5 = {report.top5!r}",
     ]
-    _write(args.out, "report.txt", "\n".join(lines) + "\n")
-    csv = ["metric,value"]
-    csv += [line.replace(" = ", ",") for line in lines]
-    _write(args.out, "report.csv", "\n".join(csv) + "\n")
-    hist_lines = ["size,count"] + [f"{s},{c}" for s, c in report.size_hist.items()]
-    _write(args.out, "hist.csv", "\n".join(hist_lines) + "\n")
-    strata_lines = ["size_lo,size_hi,count,coverage"]
-    for row in report.per_stratum:
-        cov = repr(row.coverage) if row.coverage is not None else ""
-        strata_lines.append(f"{row.lo},{row.hi},{row.count},{cov}")
-    _write(args.out, "strata.csv", "\n".join(strata_lines) + "\n")
-    diff_lines = ["difficulty_lo,difficulty_hi,count,coverage,avg_size"]
-    for row in report.per_difficulty:
-        cov = repr(row.coverage) if row.coverage is not None else ""
-        sz = repr(row.avg_size) if row.avg_size is not None else ""
-        diff_lines.append(f"{row.lo},{row.hi},{row.count},{cov},{sz}")
-    _write(args.out, "difficulty.csv", "\n".join(diff_lines) + "\n")
-    _echo_config(args)
+    Path(_out(args.out, "report.txt")).write_text("\n".join(lines) + "\n")
+    csv = ["metric,value"] + [line.replace(" = ", ",") for line in lines]
+    Path(_out(args.out, "report.csv")).write_text("\n".join(csv) + "\n")
+    _write_tables(args.out, report)
     print(f"coverage={report.coverage:.4f} avg_size={report.avg_size:.3f} sscv={report.sscv:.4f}")
     return 0
 
@@ -378,22 +353,20 @@ def cmd_experiment(args) -> int:
     }
     everything = run_trials_multi(m, protocol, {**policies, **sweep_policies})
     aggs = {name: everything[name] for name in policies}
-    _write(args.out, "table1.txt", render_method_table(aggs))
-    _write(args.out, "summary.csv", summary_csv(aggs))
-    _write(args.out, "strata.txt", render_strata_table(aggs))
-    _write(args.out, "difficulty.txt", render_difficulty_table(aggs))
+    table = render_method_table(aggs)
+    Path(_out(args.out, "table1.txt")).write_text(table)
+    Path(_out(args.out, "summary.csv")).write_text(summary_csv(aggs))
+    Path(_out(args.out, "strata.txt")).write_text(render_strata_table(aggs))
+    Path(_out(args.out, "difficulty.txt")).write_text(render_difficulty_table(aggs))
     for name, agg in aggs.items():
-        _write(args.out, f"hist_{name}.csv", hist_csv(agg))
-        _write(args.out, f"strata_{name}.csv", strata_csv(agg))
-        _write(args.out, f"difficulty_{name}.csv", difficulty_csv(agg))
+        _write_tables(args.out, agg, f"_{name}")
 
     if not args.no_sweep:
         cells = {cell: everything[name].median_size for cell, name in sweep_names.items()}
-        _write(args.out, "sweep.txt", render_sweep(cells, kregs, SWEEP_LAMBDAS))
-        _write(args.out, "sweep.csv", sweep_csv(cells, kregs, SWEEP_LAMBDAS))
+        Path(_out(args.out, "sweep.txt")).write_text(render_sweep(cells, kregs, SWEEP_LAMBDAS))
+        Path(_out(args.out, "sweep.csv")).write_text(sweep_csv(cells, kregs, SWEEP_LAMBDAS))
 
-    _echo_config(args)
-    print(render_method_table(aggs), end="")
+    print(table, end="")
     print(f"wrote report files to {args.out}")
     return 0
 
@@ -566,8 +539,16 @@ def _apply_config(sub, argv, path) -> None:
         if key not in actions:
             raise ValueError(f"unknown config key {key!r} for command {name}")
         action = actions[key]
-        if isinstance(val, str) and action.type is not None:
-            val = action.type(val)
+        if action.nargs == 0:  # store_true flags
+            if not isinstance(val, bool):
+                raise ValueError(f"config key {key!r} must be true or false, got {val!r}")
+        else:
+            try:
+                val = action.type(str(val)) if action.type is not None else str(val)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+            if action.choices is not None and val not in action.choices:
+                raise ValueError(f"config key {key!r} must be one of {list(action.choices)}")
         defaults[key] = val
     target.set_defaults(**defaults)
 
@@ -583,7 +564,9 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             parser.print_usage(sys.stderr)
             return 2
-        return args.func(args)
+        code = args.func(args)
+        _echo_config(args)
+        return code
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except DataError as exc:

@@ -164,7 +164,7 @@ def difficulty_rows(ranks: np.ndarray, sizes: np.ndarray, covered: np.ndarray, b
     return tuple(rows)
 
 
-def difficulty_table(sets, labels, ss: SortedScores, bins=None) -> tuple:
+def difficulty_table(sets, labels, ss: SortedScores) -> tuple:
     """Coverage and size grouped by how deep the true label sits.
 
     The difficulty of an example is the 1-based rank of its label in the
@@ -172,9 +172,7 @@ def difficulty_table(sets, labels, ss: SortedScores, bins=None) -> tuple:
     """
     sizes, covered = _sets_to_arrays(sets, labels)
     ranks = ss.label_ranks(np.asarray(labels))
-    if bins is None:
-        bins = default_difficulty_bins(ss.n_classes)
-    return difficulty_rows(ranks, sizes, covered, bins)
+    return difficulty_rows(ranks, sizes, covered, default_difficulty_bins(ss.n_classes))
 
 
 def size_histogram(sizes: np.ndarray) -> dict:
@@ -212,7 +210,6 @@ def evaluate_model(
     labels: np.ndarray,
     seed: int = 0,
     strata=None,
-    bins=None,
 ) -> EvalReport:
     """Predict on an evaluation split and measure everything.
 
@@ -223,6 +220,5 @@ def evaluate_model(
     ranks = ss.label_ranks(np.asarray(labels))
     if strata is None:
         strata = default_strata(ss.n_classes)
-    if bins is None:
-        bins = default_difficulty_bins(ss.n_classes)
+    bins = default_difficulty_bins(ss.n_classes)
     return evaluate_arrays(sizes, ranks, model.spec.alpha, strata, bins)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .metrics import EvalReport
 from .trials import TrialAggregate
 
 
@@ -37,14 +38,14 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_method_table(aggs: dict[str, TrialAggregate], label: str = "scores") -> str:
+def render_method_table(aggs: dict[str, TrialAggregate]) -> str:
     """One row per score source, a coverage and a size column per method,
     with shared top-1/top-5 accuracy up front."""
     methods = list(aggs)
     first = aggs[methods[0]]
     header = ["", "top-1", "top-5"]
     header += [f"cvg_{m}" for m in methods] + [f"sz_{m}" for m in methods]
-    row = [label, _f(first.median_top1), _f(first.median_top5)]
+    row = ["scores", _f(first.median_top1), _f(first.median_top5)]
     row += [_f(aggs[m].median_coverage) for m in methods]
     row += [_f(aggs[m].median_size, 2) for m in methods]
     return _text_table(header, [row])
@@ -70,15 +71,16 @@ def summary_csv(aggs: dict[str, TrialAggregate]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hist_csv(agg: TrialAggregate) -> str:
+def hist_csv(result: TrialAggregate | EvalReport) -> str:
+    """Count per set size, for one split (EvalReport) or pooled trials alike."""
     lines = ["size,count"]
-    lines += [f"{s},{c}" for s, c in agg.size_hist.items()]
+    lines += [f"{s},{c}" for s, c in result.size_hist.items()]
     return "\n".join(lines) + "\n"
 
 
-def strata_csv(agg: TrialAggregate) -> str:
+def strata_csv(result: TrialAggregate | EvalReport) -> str:
     lines = ["size_lo,size_hi,count,coverage"]
-    for row in agg.per_stratum:
+    for row in result.per_stratum:
         lines.append(f"{row.lo},{row.hi},{row.count},{_r(row.coverage)}")
     return "\n".join(lines) + "\n"
 
@@ -109,9 +111,9 @@ def render_strata_table(aggs: dict[str, TrialAggregate]) -> str:
     return _text_table(header, rows)
 
 
-def difficulty_csv(agg: TrialAggregate) -> str:
+def difficulty_csv(result: TrialAggregate | EvalReport) -> str:
     lines = ["difficulty_lo,difficulty_hi,count,coverage,avg_size"]
-    for row in agg.per_difficulty:
+    for row in result.per_difficulty:
         lines.append(f"{row.lo},{row.hi},{row.count},{_r(row.coverage)},{_r(row.avg_size)}")
     return "\n".join(lines) + "\n"
 

@@ -54,7 +54,6 @@ class TrialProtocol:
     seed: int = 0
     platt_split: str = "calibration"
     strata: tuple | None = None
-    bins: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -195,40 +194,30 @@ def _fit_method(data: _TrialData, policy: MethodPolicy) -> ConformalModel:
     return calibrate(data.ss_cal, data.y_cal, spec, seed=data.trial_seed)
 
 
+def _median(values) -> float | None:
+    """Median of the trials whose row was nonempty; None if none was."""
+    kept = [v for v in values if v is not None]
+    return float(np.median(kept)) if kept else None
+
+
 def _aggregate(results: list[tuple[EvalReport, MethodSpec]]) -> TrialAggregate:
+    """Pool one method's trials. Every trial of a run measures the same strata
+    and difficulty bins in the same order, so their rows pool by position."""
     reports = [report for report, _ in results]
     hist: dict[int, int] = {}
     for r in reports:
         for s, c in r.size_hist.items():
             hist[s] = hist.get(s, 0) + c
-
-    strata_acc: dict[tuple, list] = {}
-    for r in reports:
-        for row in r.per_stratum:
-            acc = strata_acc.setdefault((row.lo, row.hi), [0, []])
-            acc[0] += row.count
-            if row.coverage is not None:
-                acc[1].append(row.coverage)
     per_stratum = tuple(
-        StratumRow(lo, hi, cnt, float(np.median(covs)) if covs else None)
-        for (lo, hi), (cnt, covs) in strata_acc.items()
+        StratumRow(rows[0].lo, rows[0].hi, sum(row.count for row in rows),
+                   _median(row.coverage for row in rows))
+        for rows in zip(*(r.per_stratum for r in reports))
     )
-
-    diff_acc: dict[tuple, list] = {}
-    for r in reports:
-        for row in r.per_difficulty:
-            acc = diff_acc.setdefault((row.lo, row.hi), [0, [], []])
-            acc[0] += row.count
-            if row.coverage is not None:
-                acc[1].append(row.coverage)
-                acc[2].append(row.avg_size)
     per_difficulty = tuple(
-        DifficultyRow(
-            lo, hi, cnt,
-            float(np.median(covs)) if covs else None,
-            float(np.median(szs)) if szs else None,
-        )
-        for (lo, hi), (cnt, covs, szs) in diff_acc.items()
+        DifficultyRow(rows[0].lo, rows[0].hi, sum(row.count for row in rows),
+                      _median(row.coverage for row in rows),
+                      _median(row.avg_size for row in rows))
+        for rows in zip(*(r.per_difficulty for r in reports))
     )
 
     def arr(values):
@@ -247,12 +236,6 @@ def _aggregate(results: list[tuple[EvalReport, MethodSpec]]) -> TrialAggregate:
         per_stratum=per_stratum,
         per_difficulty=per_difficulty,
     )
-
-
-def _resolve_tables(protocol: TrialProtocol, n_classes: int) -> tuple[tuple, tuple]:
-    strata = protocol.strata if protocol.strata is not None else default_strata(n_classes)
-    bins = protocol.bins if protocol.bins is not None else default_difficulty_bins(n_classes)
-    return strata, bins
 
 
 def _run_trial(
@@ -279,7 +262,8 @@ def _run_trials(
     draw, n_classes: int, protocol: TrialProtocol, policies: dict[str, MethodPolicy]
 ) -> dict[str, TrialAggregate]:
     """The trial loop; draw(trial_seed) gives (tuning, calibration, evaluation)."""
-    strata, bins = _resolve_tables(protocol, n_classes)
+    strata = protocol.strata if protocol.strata is not None else default_strata(n_classes)
+    bins = default_difficulty_bins(n_classes)
     results: dict[str, list] = {name: [] for name in policies}
     for t in range(protocol.n_trials):
         trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)

@@ -98,6 +98,18 @@ def test_bad_alpha_is_usage_error_before_io(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("strata", ["5-2", "0-3,2-5"])
+def test_bad_strata_is_usage_error_before_io(tmp_path, capsys, strata):
+    code = run([
+        "evaluate", "--model", str(tmp_path / "never_created.txt"),
+        "--input", str(tmp_path / "never_created.bin"),
+        "--strata", strata, "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert "--strata" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
     code = run(["ingest", "--input", missing])
@@ -148,6 +160,47 @@ def test_synth_then_calibrate_then_evaluate(tmp_path, capsys):
     assert n_from_hist == 400
     assert (report / "strata.csv").exists()
     assert (report / "difficulty.csv").exists()
+
+
+def _hand_written_tables(report):
+    """The evaluate tables in the format cmd_evaluate once wrote by hand."""
+    hist_lines = ["size,count"] + [f"{s},{c}" for s, c in report.size_hist.items()]
+    strata_lines = ["size_lo,size_hi,count,coverage"]
+    for row in report.per_stratum:
+        cov = repr(row.coverage) if row.coverage is not None else ""
+        strata_lines.append(f"{row.lo},{row.hi},{row.count},{cov}")
+    diff_lines = ["difficulty_lo,difficulty_hi,count,coverage,avg_size"]
+    for row in report.per_difficulty:
+        cov = repr(row.coverage) if row.coverage is not None else ""
+        sz = repr(row.avg_size) if row.avg_size is not None else ""
+        diff_lines.append(f"{row.lo},{row.hi},{row.count},{cov},{sz}")
+    tables = {"hist.csv": hist_lines, "strata.csv": strata_lines, "difficulty.csv": diff_lines}
+    return {name: "\n".join(lines) + "\n" for name, lines in tables.items()}
+
+
+def test_evaluate_tables_keep_their_exact_bytes(four_row_file, tmp_path, capsys):
+    model = tmp_path / "model"
+    assert run([
+        "calibrate", "--input", four_row_file, "--method", "aps",
+        "--alpha", "0.5", "--deterministic", "--out", str(model),
+    ]) == 0
+    out = tmp_path / "eval"
+    assert run([
+        "evaluate", "--model", str(model / "model.txt"), "--input", four_row_file,
+        "--strata", "0-0,1-2,3-4,5-6", "--seed", "1", "--out", str(out),
+    ]) == 0
+    m = cset.load_scores(four_row_file)
+    report = cset.evaluate_model(
+        cset.load_model(str(model / "model.txt")), cset.sort_scores(m, 1), m.labels,
+        seed=1, strata=((0, 0), (1, 2), (3, 4), (5, 6)),
+    )
+    expected = _hand_written_tables(report)
+    # sizes are 0, 1, 3, 3 and every label ranks first, so the last stratum and
+    # two difficulty bins are empty and their cells blank
+    assert expected["strata.csv"].endswith("\n5,6,0,\n")
+    assert "\n2,3,0,,\n" in expected["difficulty.csv"]
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode()
 
 
 def test_fit_temp_roundtrip(tmp_path, capsys):
@@ -237,6 +290,30 @@ def test_config_unknown_key_is_usage_error(tmp_path, four_row_file, capsys):
     ])
     assert code == 2
     assert "no_such_flag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("calibrate", {"deterministic": "false"}),
+    ("tune", {"tune_objective": "sizes"}),
+    ("calibrate", {"seed": 1.5}),
+])
+def test_config_values_pass_the_flag_validators(tmp_path, four_row_file, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run([command, "--config", str(cfg), "--input", four_row_file, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_values_parse_like_flags(tmp_path, four_row_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "method": "aps", "seed": 3, "deterministic": False}))
+    out = tmp_path / "m"
+    assert run(["calibrate", "--config", str(cfg), "--input", four_row_file, "--out", str(out)]) == 0
+    echoed = json.loads((out / "config_used.json").read_text())
+    assert (echoed["alpha"], echoed["method"], echoed["seed"]) == (0.5, "aps", 3)
+    assert echoed["deterministic"] is False
 
 
 def test_config_without_subcommand_is_usage_error(tmp_path, capsys):

@@ -3,9 +3,11 @@ import pytest
 
 import cset
 from cset.conformal import MethodSpec
+from cset.metrics import DifficultyRow, EvalReport, StratumRow
 from cset.trials import (
     MethodPolicy,
     TrialProtocol,
+    _aggregate,
     run_synth_trials,
     run_trials,
     run_trials_multi,
@@ -136,3 +138,66 @@ def test_synth_trials_reject_fractional_sizes():
     proto = TrialProtocol(n_trials=2, cal_size=0.5, eval_size=0.5, seed=1)
     with pytest.raises(ValueError):
         run_synth_trials(sspec, proto, {"aps": MethodPolicy(MethodSpec("aps", 0.2))})
+
+
+def _pool_keyed_by_bounds(reports):
+    """Strata and difficulty pooling keyed by (lo, hi): the reference for the
+    positional pooling in trials._aggregate."""
+    strata_acc, diff_acc = {}, {}
+    for r in reports:
+        for row in r.per_stratum:
+            acc = strata_acc.setdefault((row.lo, row.hi), [0, []])
+            acc[0] += row.count
+            if row.coverage is not None:
+                acc[1].append(row.coverage)
+        for row in r.per_difficulty:
+            acc = diff_acc.setdefault((row.lo, row.hi), [0, [], []])
+            acc[0] += row.count
+            if row.coverage is not None:
+                acc[1].append(row.coverage)
+                acc[2].append(row.avg_size)
+    per_stratum = tuple(
+        StratumRow(lo, hi, cnt, float(np.median(covs)) if covs else None)
+        for (lo, hi), (cnt, covs) in strata_acc.items()
+    )
+    per_difficulty = tuple(
+        DifficultyRow(lo, hi, cnt, float(np.median(covs)) if covs else None,
+                      float(np.median(szs)) if szs else None)
+        for (lo, hi), (cnt, covs, szs) in diff_acc.items()
+    )
+    return per_stratum, per_difficulty
+
+
+def test_aggregate_pools_table_rows_by_position():
+    def report(strata, bins):
+        return EvalReport(
+            n_eval=5, coverage=0.8, avg_size=2.0, sscv=0.1, top1=0.6, top5=0.9,
+            size_hist={1: 2, 3: 3},
+            per_stratum=tuple(StratumRow(*row) for row in strata),
+            per_difficulty=tuple(DifficultyRow(*row) for row in bins),
+        )
+
+    # strata deliberately out of size order; (2, 3) is empty in trial 0 only,
+    # (4, 10) and the difficulty bin (4, 10) are empty in every trial
+    reports = [
+        report([(2, 3, 0, None), (0, 1, 5, 0.8), (4, 10, 0, None)],
+               [(1, 1, 4, 1.0, 1.5), (2, 3, 1, 0.0, 2.0), (4, 10, 0, None, None)]),
+        report([(2, 3, 2, 1.0), (0, 1, 3, 0.6), (4, 10, 0, None)],
+               [(1, 1, 3, 1.0, 1.0), (2, 3, 0, None, None), (4, 10, 0, None, None)]),
+        report([(2, 3, 1, 0.5), (0, 1, 4, 0.7), (4, 10, 0, None)],
+               [(1, 1, 2, 0.5, 3.0), (2, 3, 3, 0.25, 2.5), (4, 10, 0, None, None)]),
+    ]
+    agg = _aggregate([(r, MethodSpec("aps", 0.2)) for r in reports])
+
+    assert (agg.per_stratum, agg.per_difficulty) == _pool_keyed_by_bounds(reports)
+    assert agg.per_stratum == (
+        StratumRow(2, 3, 3, 0.75),  # median of the two nonempty trials
+        StratumRow(0, 1, 12, 0.7),
+        StratumRow(4, 10, 0, None),
+    )
+    assert agg.per_difficulty == (
+        DifficultyRow(1, 1, 9, 1.0, 1.5),
+        DifficultyRow(2, 3, 4, 0.125, 2.25),
+        DifficultyRow(4, 10, 0, None, None),
+    )
+    assert agg.size_hist == {1: 6, 3: 9}
