@@ -20,15 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeds
-from .conformal import (
-    MethodSpec,
-    METHODS,
-    calibrate,
-    load_model,
-    naive_model,
-    save_model,
-    set_sizes,
-)
+from .conformal import MethodSpec, METHODS, load_model, save_model, set_sizes
 from .metrics import _validate_strata, evaluate_model
 from .platt import DEFAULT_BOUNDS, DEFAULT_TOL, fit_temperature
 from .reports import (
@@ -45,13 +37,7 @@ from .reports import (
 from .score_store import DataError, load_scores, save_scores, softmax, sort_scores
 from .synth import CORRUPTIONS, SynthSpec, generate
 from .trials import MethodPolicy, TrialProtocol, run_trials_multi
-from .tuning import (
-    ADAPT_LAMBDA_GRID,
-    SIZE_LAMBDA_GRID,
-    make_fixed_k_model,
-    tune_for_adaptiveness,
-    tune_for_size,
-)
+from .tuning import TUNE_OBJECTIVES, fit_model, tune
 
 SWEEP_LAMBDAS = (0.0, 0.0001, 0.001, 0.01, 0.02, 0.05, 0.2, 0.5, 0.7, 1.0)
 SWEEP_KREGS = (1, 2, 5, 10, 50)
@@ -136,13 +122,21 @@ def _out(outdir: str, name: str) -> str:
     return os.path.join(outdir, name)
 
 
+def _flag_text(value):
+    """A parsed value as its flag spells it: tuples comma-joined, strata as lo-hi."""
+    if not isinstance(value, tuple):
+        return value
+    return ",".join("-".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
+
+
 def _echo_config(args: argparse.Namespace) -> None:
+    """Write the flag values as a config that --config can replay."""
     out = getattr(args, "out", None)
     if not out:
         return
-    skip = {"func", "config"}
-    d = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    text = json.dumps(d, indent=2, sort_keys=True, default=list) + "\n"
+    skip = {"func", "config", "command"}
+    d = {k: _flag_text(v) for k, v in vars(args).items() if k not in skip and v is not None}
+    text = json.dumps(d, indent=2, sort_keys=True) + "\n"
     Path(_out(out, "config_used.json")).write_text(text)
 
 
@@ -216,14 +210,8 @@ def cmd_fit_temp(args) -> int:
 
 def cmd_tune(args) -> int:
     m, ss = _load_sorted(args)
-    if args.tune_objective == "size":
-        grid = args.lambda_grid if args.lambda_grid is not None else SIZE_LAMBDA_GRID
-        res = tune_for_size(ss, m.labels, args.alpha, grid, seed=args.seed)
-    else:
-        grid = args.lambda_grid if args.lambda_grid is not None else ADAPT_LAMBDA_GRID
-        res = tune_for_adaptiveness(
-            ss, m.labels, args.alpha, grid, seed=args.seed, strata=args.strata
-        )
+    res = tune(ss, m.labels, args.alpha, args.tune_objective, args.lambda_grid,
+               args.seed, args.strata)
     lines = [
         f"objective = {res.objective}",
         f"k_star = {res.k_star}",
@@ -246,12 +234,7 @@ def cmd_calibrate(args) -> int:
         randomized=not args.deterministic,
         boundary_inclusive=args.boundary_inclusive,
     )
-    if args.method == "naive":
-        model = naive_model(spec.alpha, m.n_classes, spec.randomized)
-    elif args.method == "fixed_k":
-        model = make_fixed_k_model(ss, m.labels, spec.alpha, args.seed, spec.randomized)
-    else:
-        model = calibrate(ss, m.labels, spec, seed=args.seed)
+    model = fit_model(ss, m.labels, spec, args.seed)
     path = _out(args.out, "model.txt")
     save_model(model, path)
     extra = f" k_star={model.k_star} mix_prob={model.mix_prob:g}" if model.k_star else ""
@@ -421,7 +404,7 @@ def build_parser():
 
     p = sub.add_parser("tune", help="pick raps knobs on a tuning split")
     p.add_argument("--input", required=True)
-    p.add_argument("--tune-objective", choices=("size", "adaptiveness"), default="size")
+    p.add_argument("--tune-objective", choices=TUNE_OBJECTIVES, default="size")
     p.add_argument("--lambda-grid", type=_lambda_grid, default=None,
                    help="comma-separated penalties; default depends on the objective")
     p.add_argument("--strata", type=_strata, default=None,
@@ -480,7 +463,7 @@ def build_parser():
     p.add_argument("--lambda", dest="penalty", type=_nonneg_float, default=None,
                    help="fix the raps penalty instead of tuning")
     p.add_argument("--k-reg", type=_pos_int, default=1)
-    p.add_argument("--tune-objective", choices=("size", "adaptiveness"), default="size")
+    p.add_argument("--tune-objective", choices=TUNE_OBJECTIVES, default="size")
     p.add_argument("--lambda-grid", type=_lambda_grid, default=None)
     p.add_argument("--strata", type=_strata, default=None)
     p.add_argument("--platt-split", choices=("calibration", "tuning"), default="calibration")
@@ -533,7 +516,11 @@ def _apply_config(sub, argv, path) -> None:
     if name is None or name not in sub.choices:
         raise ValueError("a subcommand is required when using --config")
     target = sub.choices[name]
-    actions = {a.dest: a for a in target._actions}
+    actions = {
+        a.dest: a for a in target._actions
+        if any(s.startswith("--") for s in a.option_strings)
+        and not isinstance(a, argparse._HelpAction)
+    }
     defaults = {}
     for key, val in data.items():
         if key not in actions:
@@ -549,6 +536,7 @@ def _apply_config(sub, argv, path) -> None:
                 raise ValueError(f"config key {key!r}: {exc}") from None
             if action.choices is not None and val not in action.choices:
                 raise ValueError(f"config key {key!r} must be one of {list(action.choices)}")
+        action.required = False  # the config supplies a required flag
         defaults[key] = val
     target.set_defaults(**defaults)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ConformalModel, set_sizes
+from .conformal import ConformalModel, set_sizes_many
 from .score_store import DataError, SortedScores
 from . import seeds
 
@@ -204,21 +204,27 @@ def evaluate_arrays(
     )
 
 
-def evaluate_model(
-    model: ConformalModel,
-    ss: SortedScores,
-    labels: np.ndarray,
-    seed: int = 0,
-    strata=None,
-) -> EvalReport:
-    """Predict on an evaluation split and measure everything.
+def evaluate_models(models, ss: SortedScores, labels: np.ndarray, seed: int = 0,
+                    strata=None) -> list[EvalReport]:
+    """Predict with every model on one evaluation split and measure each.
 
-    Randomized models draw one u per row from the substream (seed, EVAL_U).
+    Randomized models share one u per row from the substream (seed, EVAL_U),
+    drawn only if some model is randomized. The label ranks, strata and
+    bins are found once, and one set_sizes_many pass sizes every model's sets.
     """
-    u = seeds.rng(seed, seeds.EVAL_U).random(ss.n) if model.spec.randomized else None
-    sizes = set_sizes(model, ss, u)
+    models = tuple(models)
+    randomized = any(model.spec.randomized for model in models)
+    u = seeds.rng(seed, seeds.EVAL_U).random(ss.n) if randomized else None
+    all_sizes = set_sizes_many(models, ss, u)
     ranks = ss.label_ranks(np.asarray(labels))
     if strata is None:
         strata = default_strata(ss.n_classes)
     bins = default_difficulty_bins(ss.n_classes)
-    return evaluate_arrays(sizes, ranks, model.spec.alpha, strata, bins)
+    return [evaluate_arrays(sizes, ranks, model.spec.alpha, strata, bins)
+            for model, sizes in zip(models, all_sizes)]
+
+
+def evaluate_model(model: ConformalModel, ss: SortedScores, labels: np.ndarray, seed: int = 0,
+                   strata=None) -> EvalReport:
+    """evaluate_models for one model: predict on a split and measure everything."""
+    return evaluate_models((model,), ss, labels, seed, strata)[0]

@@ -21,24 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import seeds
-from .conformal import ConformalModel, MethodSpec, calibrate, naive_model, set_sizes_many
-from .metrics import (
-    DifficultyRow,
-    EvalReport,
-    StratumRow,
-    default_difficulty_bins,
-    default_strata,
-    evaluate_arrays,
-)
-from .score_store import ScoreMatrix, SortedScores, SplitSpec, sort_scores, split
+from .conformal import ConformalModel, MethodSpec
+from .metrics import DifficultyRow, EvalReport, StratumRow, evaluate_models
+from .platt import fit_temperature
+from .score_store import ScoreMatrix, SortedScores, SplitSpec, softmax, sort_scores, split
 from .synth import SynthSpec, generate
-from .tuning import (
-    ADAPT_LAMBDA_GRID,
-    SIZE_LAMBDA_GRID,
-    make_fixed_k_model,
-    tune_for_adaptiveness,
-    tune_for_size,
-)
+from .tuning import TUNE_OBJECTIVES, fit_model, tune
 
 PLATT_SPLITS = ("calibration", "tuning")
 
@@ -71,7 +59,7 @@ class MethodPolicy:
     lambda_grid: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.tune_objective not in (None, "size", "adaptiveness"):
+        if self.tune_objective not in (None, *TUNE_OBJECTIVES):
             raise ValueError(f"unknown tune objective {self.tune_objective!r}")
         if self.tune_objective is not None and self.spec.method != "raps":
             raise ValueError("tuning applies to raps only")
@@ -125,8 +113,6 @@ class _TrialData:
     y_cal: np.ndarray
     ss_eval: SortedScores
     y_eval: np.ndarray
-    ranks_eval: np.ndarray
-    u_eval: np.ndarray
 
 
 def _prepare(
@@ -137,9 +123,6 @@ def _prepare(
     trial_seed: int,
 ) -> _TrialData:
     if cal_m.kind == "logits":
-        from .platt import fit_temperature
-        from .score_store import softmax
-
         fit_on = cal_m
         if protocol.platt_split == "tuning":
             if tune_m is None:
@@ -165,33 +148,18 @@ def _prepare(
         y_cal=cal_m.labels,
         ss_eval=ss_eval,
         y_eval=eval_m.labels,
-        ranks_eval=ss_eval.label_ranks(eval_m.labels),
-        u_eval=seeds.rng(trial_seed, seeds.EVAL_U).random(eval_m.n),
     )
 
 
-def _fit_method(data: _TrialData, policy: MethodPolicy) -> ConformalModel:
+def _fit_method(data: _TrialData, policy: MethodPolicy, strata) -> ConformalModel:
     spec = policy.spec
     if policy.tune_objective is not None:
         if data.ss_tune is None:
             raise ValueError("tuning requested but the tuning split is empty")
-        tune_seed = seeds.child_seed(data.trial_seed, seeds.TUNE)
-        if policy.tune_objective == "size":
-            grid = policy.lambda_grid or SIZE_LAMBDA_GRID
-            res = tune_for_size(data.ss_tune, data.y_tune, spec.alpha, grid, tune_seed)
-        else:
-            grid = policy.lambda_grid or ADAPT_LAMBDA_GRID
-            res = tune_for_adaptiveness(
-                data.ss_tune, data.y_tune, spec.alpha, grid, tune_seed
-            )
+        res = tune(data.ss_tune, data.y_tune, spec.alpha, policy.tune_objective,
+                   policy.lambda_grid, seeds.child_seed(data.trial_seed, seeds.TUNE), strata)
         spec = replace(spec, penalty=res.penalty, kreg=res.kreg)
-    if spec.method == "naive":
-        return naive_model(spec.alpha, data.ss_eval.n_classes, spec.randomized)
-    if spec.method == "fixed_k":
-        return make_fixed_k_model(
-            data.ss_cal, data.y_cal, spec.alpha, data.trial_seed, spec.randomized
-        )
-    return calibrate(data.ss_cal, data.y_cal, spec, seed=data.trial_seed)
+    return fit_model(data.ss_cal, data.y_cal, spec, data.trial_seed)
 
 
 def _median(values) -> float | None:
@@ -239,35 +207,27 @@ def _aggregate(results: list[tuple[EvalReport, MethodSpec]]) -> TrialAggregate:
 
 
 def _run_trial(
-    draw, trial_seed: int, protocol: TrialProtocol, policies: dict[str, MethodPolicy],
-    strata, bins,
+    draw, trial_seed: int, protocol: TrialProtocol, policies: dict[str, MethodPolicy]
 ) -> dict[str, tuple[EvalReport, MethodSpec]]:
     """Draw one trial's splits, fit every policy, and measure every model.
 
-    The splits are sorted once, and one set_sizes_many call sizes the sets
-    of all the trial's models on the evaluation split. Everything drawn
-    here is released on return, before the next trial draws its data.
+    The splits are sorted once, and one evaluate_models call measures all
+    the trial's models on the evaluation split. Everything drawn here is
+    released on return, before the next trial draws its data.
     """
     data = _prepare(*draw(trial_seed), protocol, trial_seed)
-    models = [_fit_method(data, policy) for policy in policies.values()]
-    all_sizes = set_sizes_many(models, data.ss_eval, data.u_eval)
-    return {
-        name: (evaluate_arrays(sizes, data.ranks_eval, model.spec.alpha, strata, bins),
-               model.spec)
-        for name, model, sizes in zip(policies, models, all_sizes)
-    }
+    models = [_fit_method(data, policy, protocol.strata) for policy in policies.values()]
+    reports = evaluate_models(models, data.ss_eval, data.y_eval, trial_seed, protocol.strata)
+    return {name: (report, model.spec) for name, model, report in zip(policies, models, reports)}
 
 
-def _run_trials(
-    draw, n_classes: int, protocol: TrialProtocol, policies: dict[str, MethodPolicy]
-) -> dict[str, TrialAggregate]:
+def _run_trials(draw, protocol: TrialProtocol,
+                policies: dict[str, MethodPolicy]) -> dict[str, TrialAggregate]:
     """The trial loop; draw(trial_seed) gives (tuning, calibration, evaluation)."""
-    strata = protocol.strata if protocol.strata is not None else default_strata(n_classes)
-    bins = default_difficulty_bins(n_classes)
     results: dict[str, list] = {name: [] for name in policies}
     for t in range(protocol.n_trials):
         trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
-        for name, measured in _run_trial(draw, trial_seed, protocol, policies, strata, bins).items():
+        for name, measured in _run_trial(draw, trial_seed, protocol, policies).items():
             results[name].append(measured)
     return {name: _aggregate(rs) for name, rs in results.items()}
 
@@ -287,7 +247,7 @@ def run_trials_multi(
             raise ValueError("calibration and evaluation splits must be nonempty")
         return tune_m, cal_m, eval_m
 
-    return _run_trials(draw, m.n_classes, protocol, policies)
+    return _run_trials(draw, protocol, policies)
 
 
 def run_trials(m: ScoreMatrix, protocol: TrialProtocol, policy: MethodPolicy) -> TrialAggregate:
@@ -316,4 +276,4 @@ def run_synth_trials(
         tune_m = observed.take(idx[:a]) if a > 0 else None
         return tune_m, observed.take(idx[a:b]), observed.take(idx[b:])
 
-    return _run_trials(draw, sspec.n_classes, protocol, policies)
+    return _run_trials(draw, protocol, policies)

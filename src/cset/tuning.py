@@ -1,7 +1,7 @@
-"""Data-driven choice of the raps knobs and the fixed-size baseline.
+"""Data-driven choice of the raps knobs and the fixed-size baseline, and each method's fitter.
 
-Everything here runs on a tuning split that is disjoint from the calibration
-and evaluation splits, so the conformal guarantee downstream is untouched.
+The tuners run on a tuning split that is disjoint from the calibration and
+evaluation splits, so the conformal guarantee downstream is untouched.
 Around a thousand tuning rows is plenty in practice; the hard floor is 20.
 """
 
@@ -17,6 +17,7 @@ from .conformal import (
     ConformalModel,
     MethodSpec,
     calibrate,
+    naive_model,
     order_stat_index,
     set_sizes,
 )
@@ -25,6 +26,7 @@ from .score_store import DataError, SortedScores
 
 SIZE_LAMBDA_GRID = (0.001, 0.01, 0.1, 0.2, 0.5)
 ADAPT_LAMBDA_GRID = (0.00001, 0.0001, 0.0008, 0.001, 0.0015, 0.002)
+TUNE_OBJECTIVES = ("size", "adaptiveness")
 MIN_TUNE_ROWS = 20
 
 
@@ -156,3 +158,26 @@ def tune_for_adaptiveness(
 ) -> TuneResult:
     """Pick the penalty that minimizes size-stratified coverage violation."""
     return _tune(ss, labels, alpha, grid, seed, "adaptiveness", strata)
+
+
+def tune(ss: SortedScores, labels: np.ndarray, alpha: float, objective: str, grid=None,
+         seed: int = 0, strata=None) -> TuneResult:
+    """Tune raps for one of TUNE_OBJECTIVES; grid None means that objective's
+    default grid. strata apply to the adaptiveness objective only."""
+    if objective == "size":
+        return tune_for_size(ss, labels, alpha, SIZE_LAMBDA_GRID if grid is None else grid, seed)
+    if objective == "adaptiveness":
+        return tune_for_adaptiveness(ss, labels, alpha, ADAPT_LAMBDA_GRID if grid is None else grid,
+                                     seed, strata)
+    raise ValueError(f"unknown tune objective {objective!r}")
+
+
+def fit_model(ss: SortedScores, labels: np.ndarray, spec: MethodSpec,
+              seed: int = 0) -> ConformalModel:
+    """Fit spec's method on a calibration split: naive needs no data, fixed_k
+    picks its top-k mixture, and aps, raps and lac calibrate a threshold."""
+    if spec.method == "naive":
+        return naive_model(spec.alpha, ss.n_classes, spec.randomized)
+    if spec.method == "fixed_k":
+        return make_fixed_k_model(ss, labels, spec.alpha, seed, spec.randomized)
+    return calibrate(ss, labels, spec, seed=seed)

@@ -491,3 +491,56 @@ def test_predict_with_non_finite_penalty_model_is_data_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "penalty" in capsys.readouterr().err
+
+
+def _replay(command, first, second):
+    """Rerun `command` from the config_used.json in `first`, writing to `second`."""
+    echoed = json.loads((first / "config_used.json").read_text())
+    assert "command" not in echoed and None not in echoed.values()
+    assert run([command, "--config", str(first / "config_used.json"), "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name != "config_used.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    replayed = json.loads((second / "config_used.json").read_text())
+    assert replayed == {**echoed, "out": str(second)}
+    return echoed
+
+
+def test_evaluate_replays_from_its_config_used(tmp_path, capsys):
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert run(["synth", "--n", "300", "--k", "8", "--seed", "3", "--out", str(data)]) == 0
+    assert run(["calibrate", "--input", str(data / "observed.bin"), "--method", "raps",
+                "--lambda", "0.01", "--k-reg", "2", "--out", str(model)]) == 0
+    first = tmp_path / "e1"
+    assert run(["evaluate", "--model", str(model / "model.txt"),
+                "--input", str(data / "observed.bin"), "--strata", "0-1,2-3,4-8",
+                "--seed", "2", "--out", str(first)]) == 0
+    echoed = _replay("evaluate", first, tmp_path / "e2")
+    assert echoed["strata"] == "0-1,2-3,4-8"
+    assert "temperature" not in echoed
+
+
+def test_experiment_replays_from_its_config_used(tmp_path, capsys):
+    first = tmp_path / "x1"
+    assert run([
+        "experiment", "--k", "8", "--trials", "2", "--tune-size", "60", "--cal-size", "80",
+        "--eval-size", "80", "--methods", "aps,raps", "--lambda-grid", "0.001,1e-2",
+        "--tune-objective", "adaptiveness", "--strata", "0-1,2-2,3-8", "--alpha", "0.2",
+        "--seed", "3", "--no-sweep", "--out", str(first),
+    ]) == 0
+    echoed = _replay("experiment", first, tmp_path / "x2")
+    assert (echoed["strata"], echoed["methods"], echoed["lambda_grid"]) == (
+        "0-1,2-2,3-8", "aps,raps", "0.001,0.01")
+    assert "input" not in echoed and "penalty" not in echoed
+
+
+def test_config_help_key_is_usage_error(tmp_path, four_row_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"help": True}))
+    code = run(["calibrate", "--config", str(cfg), "--input", four_row_file,
+                "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert "unknown config key 'help'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()

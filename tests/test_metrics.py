@@ -202,3 +202,41 @@ def test_difficulty_table_from_sets():
     easy = [r for r in rows if (r.lo, r.hi) == (1, 1)][0]
     # top-2 sets always cover rank-1 labels
     assert easy.count == 0 or easy.coverage == 1.0
+
+
+def test_evaluate_models_matches_one_model_at_a_time():
+    # One shared u draw, one ranking and one sizing pass must give each model
+    # the report it gets alone, and the report of the one-model code that
+    # evaluate_models replaced (set_sizes, label ranks, evaluate_arrays).
+    from dataclasses import fields
+
+    from cset.conformal import naive_model, set_sizes
+    from cset.metrics import evaluate_arrays, evaluate_models
+    from cset.seeds import EVAL_U, rng
+    from cset.tuning import make_fixed_k_model
+
+    m = dirichlet_matrix(700, 10, seed=21, concentration=0.6)
+    cal, ev = np.arange(300), np.arange(300, 700)
+    ss_cal = sort_scores(m.take(cal), seed=1)
+    ss_ev, y_ev = sort_scores(m.take(ev), seed=2), m.labels[ev]
+    y_cal = m.labels[cal]
+    models = [
+        naive_model(0.2, 10, True),
+        calibrate(ss_cal, y_cal, MethodSpec("aps", 0.2)),
+        calibrate(ss_cal, y_cal, MethodSpec("raps", 0.2, penalty=0.05, kreg=2, randomized=False,
+                                            boundary_inclusive=True)),
+        calibrate(ss_cal, y_cal, MethodSpec("lac", 0.2)),
+        make_fixed_k_model(ss_cal, y_cal, 0.2, seed=3),
+    ]
+    strata = ((0, 1), (2, 3), (4, 10))
+    together = evaluate_models(models, ss_ev, y_ev, seed=9, strata=strata)
+    assert len(together) == len(models)
+    for model, report in zip(models, together):
+        alone = evaluate_model(model, ss_ev, y_ev, seed=9, strata=strata)
+        u = rng(9, EVAL_U).random(ss_ev.n) if model.spec.randomized else None
+        old = evaluate_arrays(set_sizes(model, ss_ev, u), ss_ev.label_ranks(y_ev),
+                              model.spec.alpha, strata, default_difficulty_bins(10))
+        for f in fields(report):
+            assert getattr(report, f.name) == getattr(alone, f.name), (model.spec.method, f.name)
+            assert getattr(report, f.name) == getattr(old, f.name), (model.spec.method, f.name)
+        assert tuple((r.lo, r.hi) for r in report.per_stratum) == strata

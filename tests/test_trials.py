@@ -201,3 +201,35 @@ def test_aggregate_pools_table_rows_by_position():
         DifficultyRow(4, 10, 0, None, None),
     )
     assert agg.size_hist == {1: 6, 3: 9}
+
+
+def test_adaptiveness_tuning_follows_the_protocol_strata():
+    # Each trial's tuned penalty must be the one the adaptiveness tuner picks
+    # with the protocol's strata on that trial's tuning split. On this data
+    # the default strata pick differently in some trials, so a trial loop
+    # that drops the strata fails here.
+    from cset import seeds
+    from cset.score_store import SplitSpec, sort_scores, split
+    from cset.tuning import ADAPT_LAMBDA_GRID, tune_for_adaptiveness
+
+    spec = cset.SynthSpec(n=6000, n_classes=50, corruption="tail_permute",
+                          corruption_param=5, seed=2)
+    _, m = cset.generate(spec)
+    strata = ((0, 1), (2, 2), (3, 4), (5, 50))
+    protocol = TrialProtocol(n_trials=4, cal_size=1500, eval_size=2000, tune_size=1500,
+                             seed=1, strata=strata)
+    pol = MethodPolicy(MethodSpec("raps", 0.1), tune_objective="adaptiveness")
+    agg = run_trials(m, protocol, pol)
+    differs = 0
+    for t in range(protocol.n_trials):
+        trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
+        tune_m, _, _ = split(m, SplitSpec(seed=trial_seed, sizes=(1500, 1500, 2000)))
+        ss = sort_scores(tune_m, seeds.child_seed(trial_seed, seeds.SORT, 0))
+        tune_seed = seeds.child_seed(trial_seed, seeds.TUNE)
+        chosen = tune_for_adaptiveness(ss, tune_m.labels, 0.1, ADAPT_LAMBDA_GRID, tune_seed,
+                                       strata=strata)
+        default = tune_for_adaptiveness(ss, tune_m.labels, 0.1, ADAPT_LAMBDA_GRID, tune_seed)
+        assert agg.penalties[t] == chosen.penalty
+        assert agg.kregs[t] == chosen.kreg
+        differs += chosen.penalty != default.penalty
+    assert differs > 0

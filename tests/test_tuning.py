@@ -155,3 +155,60 @@ def test_tune_for_size_beats_unpenalized_on_heavy_tail():
     by_lam = dict(res.grid)
     assert res.penalty > 0.0
     assert by_lam[res.penalty] < 0.8 * by_lam[0.0]
+
+
+@pytest.mark.parametrize("objective, wrapper, grid", [
+    ("size", tune_for_size, SIZE_LAMBDA_GRID),
+    ("adaptiveness", tune_for_adaptiveness, ADAPT_LAMBDA_GRID),
+])
+def test_tune_dispatches_to_the_objective_and_its_default_grid(objective, wrapper, grid):
+    from cset.tuning import tune
+
+    m = dirichlet_matrix(300, 12, seed=31, concentration=0.5)
+    ss = sort_scores(m, seed=0)
+    assert tune(ss, m.labels, 0.1, objective, seed=4) == wrapper(ss, m.labels, 0.1, grid, 4)
+    custom = (0.0, 0.003, 0.3)
+    assert tune(ss, m.labels, 0.1, objective, custom, 4) == wrapper(ss, m.labels, 0.1, custom, 4)
+
+
+def test_tune_passes_strata_to_the_adaptiveness_tuner_only():
+    from cset.tuning import tune
+
+    m = dirichlet_matrix(300, 12, seed=32, concentration=0.5)
+    ss = sort_scores(m, seed=0)
+    strata = ((0, 2), (3, 12))
+    assert tune(ss, m.labels, 0.1, "adaptiveness", None, 5, strata) == tune_for_adaptiveness(
+        ss, m.labels, 0.1, ADAPT_LAMBDA_GRID, 5, strata)
+    assert tune(ss, m.labels, 0.1, "size", None, 5, strata) == tune_for_size(
+        ss, m.labels, 0.1, SIZE_LAMBDA_GRID, 5)
+
+
+def test_tune_rejects_an_unknown_objective():
+    from cset.tuning import tune
+
+    m = dirichlet_matrix(100, 5, seed=33)
+    with pytest.raises(ValueError, match="unknown tune objective 'entropy'"):
+        tune(sort_scores(m, seed=0), m.labels, 0.1, "entropy")
+
+
+@pytest.mark.parametrize("spec", [
+    MethodSpec("naive", 0.1, randomized=False),
+    MethodSpec("fixed_k", 0.1),
+    MethodSpec("fixed_k", 0.1, randomized=False),
+    MethodSpec("aps", 0.1),
+    MethodSpec("raps", 0.1, penalty=0.01, kreg=3),
+    MethodSpec("lac", 0.1),
+])
+def test_fit_model_picks_the_method_fitter(spec):
+    from cset.conformal import calibrate, naive_model
+    from cset.tuning import fit_model
+
+    m = dirichlet_matrix(200, 8, seed=34, concentration=0.5)
+    ss = sort_scores(m, seed=0)
+    if spec.method == "naive":
+        expected = naive_model(0.1, 8, randomized=False)
+    elif spec.method == "fixed_k":
+        expected = make_fixed_k_model(ss, m.labels, 0.1, 6, spec.randomized)
+    else:
+        expected = calibrate(ss, m.labels, spec, seed=6)
+    assert fit_model(ss, m.labels, spec, 6) == expected
