@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import seeds
 from .conformal import MethodSpec, METHODS, load_model, save_model, set_sizes
 from .metrics import _validate_strata, evaluate_model
@@ -34,7 +32,14 @@ from .reports import (
     summary_csv,
     sweep_csv,
 )
-from .score_store import DataError, load_scores, save_scores, softmax, sort_scores
+from .score_store import (
+    DataError,
+    load_scores,
+    open_scores,
+    save_scores,
+    softmax,
+    sort_scores,
+)
 from .synth import CORRUPTIONS, SynthSpec, generate
 from .trials import MethodPolicy, TrialProtocol, run_trials_multi
 from .tuning import TUNE_OBJECTIVES, fit_model, tune
@@ -147,19 +152,23 @@ def _write_tables(outdir: str, result, suffix: str = "") -> None:
         Path(_out(outdir, f"{kind}{suffix}.csv")).write_text(render(result))
 
 
-def _load_sorted(args):
-    """Load --input as probabilities (softmax at --temperature for logits) and sort it."""
-    m = load_scores(args.input, "auto")
-    t = args.temperature
-    if m.kind == "probabilities":
-        if t is not None:
+def _check_kind(kind: str, temperature) -> None:
+    """--temperature goes with logits, and only with logits."""
+    if kind == "probabilities":
+        if temperature is not None:
             raise ValueError("--temperature only applies to logit inputs")
-    elif t is None:
+    elif temperature is None:
         raise DataError(
             "input holds logits; fit a temperature with fit-temp and pass --temperature"
         )
-    else:
-        m = softmax(m, t)
+
+
+def _load_sorted(args):
+    """Load --input as probabilities (softmax at --temperature for logits) and sort it."""
+    m = load_scores(args.input, "auto")
+    _check_kind(m.kind, args.temperature)
+    if m.kind == "logits":
+        m = softmax(m, args.temperature)
     return m, sort_scores(m, args.seed)
 
 
@@ -244,16 +253,43 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Write predictions.csv one row block at a time (see ScoreBlocks).
+
+    Each block is softmaxed, sorted from its first row's tie keys and sized
+    with its slice of the one stream of u draws, so the file is the same
+    as one pass over the whole matrix would give. The lines go to a
+    partial file that replaces predictions.csv only once every block is
+    done, so a bad row anywhere leaves no predictions.csv behind.
+    """
     model = load_model(args.model)
-    _, ss = _load_sorted(args)
-    u = seeds.rng(args.seed, seeds.EVAL_U).random(ss.n) if model.spec.randomized else None
-    sizes = set_sizes(model, ss, u)
-    lines = []
-    for i in range(ss.n):
-        classes = ss.perm[i, : sizes[i]]
-        lines.append(",".join([str(i), str(int(sizes[i]))] + [str(int(c)) for c in classes]))
-    Path(_out(args.out, "predictions.csv")).write_text("\n".join(lines) + "\n")
-    print(f"wrote {args.out}/predictions.csv ({ss.n} sets, mean size {float(np.mean(sizes)):.3f})")
+    scores = open_scores(args.input)
+    _check_kind(scores.kind, args.temperature)
+    if model.n_classes != scores.n_classes:
+        raise DataError(
+            f"model was calibrated for K={model.n_classes}, scores have K={scores.n_classes}"
+        )
+    u_rng = seeds.rng(args.seed, seeds.EVAL_U) if model.spec.randomized else None
+    path = _out(args.out, "predictions.csv")
+    partial = path + ".partial"
+    total = 0
+    try:
+        with open(partial, "w") as fh:
+            for lo, block in scores:
+                if block.kind == "logits":
+                    block = softmax(block, args.temperature)
+                ss = sort_scores(block, args.seed, first_row=lo)
+                u = u_rng.random(ss.n) if u_rng is not None else None
+                sizes = set_sizes(model, ss, u)
+                total += int(sizes.sum())
+                fh.writelines(
+                    ",".join(map(str, [lo + i, size, *ss.perm[i, :size].tolist()])) + "\n"
+                    for i, size in enumerate(sizes.tolist())
+                )
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    print(f"wrote {args.out}/predictions.csv ({scores.n} sets, mean size {total / scores.n:.3f})")
     return 0
 
 

@@ -9,6 +9,7 @@ the sorted view produced by :func:`sort_scores`. Internal arithmetic is
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -19,10 +20,16 @@ from . import seeds
 KINDS = ("logits", "probabilities")
 
 _MAGIC = b"CSET1"
+# Binary header after the magic: kind flag (0 logits, 1 probabilities), n, K.
+_HEAD = struct.Struct("<BQQ")
+_HEAD_BYTES = len(_MAGIC) + _HEAD.size
 _ROW_SUM_OK = 1e-6
 _ROW_SUM_FIX = 1e-3
 # Rows per block in sort_scores; bounds its temporaries at this many rows x K.
 _SORT_BLOCK_ROWS = 256
+# Cells per row block when a score file is walked in blocks (ScoreBlocks) and
+# in label_ranks; bounds each block-sized temporary at this many cells.
+_BLOCK_CELLS = 1 << 16
 
 
 class DataError(ValueError):
@@ -56,34 +63,20 @@ class ScoreMatrix:
         _check(n >= 1, "empty matrix: need at least one row")
         _check(k >= 2, f"need at least 2 classes, got {k}")
         _check(labels.shape == (n,), "labels must be one integer per row")
-        bad = ~np.isfinite(scores)
-        if bad.any():
-            row = int(np.argwhere(bad)[0, 0])
-            raise DataError(f"non-finite score in row {row}")
-        out = (labels < 0) | (labels >= k)
-        if out.any():
-            row = int(np.argmax(out))
-            raise DataError(f"label out of range in row {row}: {labels[row]} not in [0, {k})")
-        if self.kind == "probabilities":
-            if (scores < 0).any():
-                row = int(np.argwhere(scores < 0)[0, 0])
-                raise DataError(f"negative probability in row {row}")
-            sums = scores.sum(axis=1)
-            dev = np.abs(sums - 1.0)
-            if (dev > _ROW_SUM_FIX).any():
-                row = int(np.argmax(dev > _ROW_SUM_FIX))
-                raise DataError(
-                    f"row {row} sums to {sums[row]:.6f}, outside the {_ROW_SUM_FIX} "
-                    "renormalization band"
-                )
-            fix = dev > _ROW_SUM_OK
-            if fix.any():
-                scores = scores.copy()
-                scores[fix] /= sums[fix, None]
-        for arr in (scores, labels):
-            arr.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
+        _check_labels(labels, k)
+        _set_arrays(self, _valid_scores(scores, self.kind), labels)
+
+    @classmethod
+    def _trusted(cls, scores: np.ndarray, labels: np.ndarray, kind: str) -> "ScoreMatrix":
+        """Wrap arrays that are already valid, without copying or checking them.
+
+        Only for arrays that nothing else writes: fresh results (softmax,
+        take, a checked file block) or slices of a valid matrix.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "kind", kind)
+        _set_arrays(m, scores, labels)
+        return m
 
     @property
     def n(self) -> int:
@@ -95,7 +88,51 @@ class ScoreMatrix:
 
     def take(self, idx: np.ndarray) -> "ScoreMatrix":
         """Row subset (copy) in the given order."""
-        return ScoreMatrix(self.scores[idx], self.labels[idx], self.kind)
+        return ScoreMatrix._trusted(self.scores[idx], self.labels[idx], self.kind)
+
+
+def _set_arrays(m: ScoreMatrix, scores: np.ndarray, labels: np.ndarray) -> None:
+    for arr in (scores, labels):
+        arr.setflags(write=False)
+    object.__setattr__(m, "scores", scores)
+    object.__setattr__(m, "labels", labels)
+
+
+def _check_labels(labels: np.ndarray, k: int) -> None:
+    """DataError naming the first row whose label is not in [0, K)."""
+    out = (labels < 0) | (labels >= k)
+    if out.any():
+        row = int(np.argmax(out))
+        raise DataError(f"label out of range in row {row}: {labels[row]} not in [0, {k})")
+
+
+def _valid_scores(scores: np.ndarray, kind: str, first_row: int = 0) -> np.ndarray:
+    """The scores as float64, checked: finite, and for probabilities
+    nonnegative with rows that sum to 1 (renormalized, in a copy, within
+    the band). Errors name rows counted from first_row.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        row = int(np.argwhere(bad)[0, 0])
+        raise DataError(f"non-finite score in row {first_row + row}")
+    if kind == "probabilities":
+        if (scores < 0).any():
+            row = int(np.argwhere(scores < 0)[0, 0])
+            raise DataError(f"negative probability in row {first_row + row}")
+        sums = scores.sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        if (dev > _ROW_SUM_FIX).any():
+            row = int(np.argmax(dev > _ROW_SUM_FIX))
+            raise DataError(
+                f"row {first_row + row} sums to {sums[row]:.6f}, outside the {_ROW_SUM_FIX} "
+                "renormalization band"
+            )
+        fix = dev > _ROW_SUM_OK
+        if fix.any():
+            scores = scores.copy()
+            scores[fix] /= sums[fix, None]
+    return scores
 
 
 @dataclass(frozen=True)
@@ -137,7 +174,10 @@ class SortedScores:
 
         The result is read-only and memoized for the last labels ranked,
         compared by value against a private copy, so calibration, tuning
-        and measurement on one split build the inverse permutation once.
+        and measurement on one split rank the labels once. Each label is
+        found in its row of ``perm`` one row block at a time, so the extra
+        memory is one block, not n x K. A label outside [0, K) is a
+        DataError (it is in no row, and the search would return rank 1).
         """
         n, k = self.perm.shape
         labels = np.asarray(labels)
@@ -146,9 +186,13 @@ class SortedScores:
             seen, ranks = self._ranked
             if seen.dtype == labels.dtype and np.array_equal(seen, labels):
                 return ranks
-        inv = np.empty_like(self.perm)
-        np.put_along_axis(inv, self.perm, np.broadcast_to(np.arange(k), (n, k)), axis=1)
-        ranks = inv[np.arange(n), labels] + 1
+        _check_labels(labels, k)
+        rows = max(1, _BLOCK_CELLS // k)
+        ranks = np.empty(n, dtype=self.perm.dtype)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            ranks[lo:hi] = np.argmax(self.perm[lo:hi] == labels[lo:hi, None], axis=1)
+        ranks += 1
         ranks.setflags(write=False)
         object.__setattr__(self, "_ranked", (labels.copy(), ranks))
         return ranks
@@ -165,7 +209,8 @@ def softmax(m: ScoreMatrix, temperature: float = 1.0) -> ScoreMatrix:
 
     Stabilized by subtracting the row max before exponentiation. Preserves
     the within-row ranking for any positive finite temperature. Works in
-    place on one fresh n x K array; the input matrix is not touched.
+    place on one fresh n x K array, which the result holds without a
+    further copy; the input matrix is not touched.
     """
     if m.kind != "logits":
         raise ValueError("softmax expects logits")
@@ -174,15 +219,17 @@ def softmax(m: ScoreMatrix, temperature: float = 1.0) -> ScoreMatrix:
     e /= temperature
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
-    return ScoreMatrix(e, m.labels, "probabilities")
+    return ScoreMatrix._trusted(e, m.labels, "probabilities")
 
 
-def sort_scores(m: ScoreMatrix, seed: int = 0) -> SortedScores:
+def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0) -> SortedScores:
     """Descending per-row sort with seeded uniform tie-breaking.
 
     Equal entries of a row are ordered by an auxiliary uniform key. The key
-    of cell (i, j) is draw ``i * K + j`` of the substream (seed, TIEBREAK),
-    so the outcome does not depend on processing order. Rows are sorted in
+    of cell (i, j) of ``m`` is draw ``(first_row + i) * K + j`` of the
+    substream (seed, TIEBREAK), so the outcome does not depend on processing
+    order, and the rows lo:hi of a matrix sorted with ``first_row=lo`` give
+    exactly rows lo:hi of the whole matrix's sort. Rows are sorted in
     blocks of ``_SORT_BLOCK_ROWS``; keys are drawn only for blocks that hold
     a tied row, at the same stream offsets (the stream skips past the
     others), and are used only inside runs of equal values. The result is
@@ -192,11 +239,14 @@ def sort_scores(m: ScoreMatrix, seed: int = 0) -> SortedScores:
     """
     if m.kind != "probabilities":
         raise ValueError("sort_scores expects probabilities; apply softmax first")
+    if first_row < 0:
+        raise ValueError(f"first_row must be nonnegative, got {first_row}")
     n, k = m.scores.shape
     perm = np.empty((n, k), dtype=np.intp)
     srt = np.empty((n, k))
     cumsum = np.empty((n, k))
     tie_rng = seeds.rng(seed, seeds.TIEBREAK)
+    tie_rng.bit_generator.advance(first_row * k)
     for lo in range(0, n, _SORT_BLOCK_ROWS):
         hi = min(lo + _SORT_BLOCK_ROWS, n)
         block = m.scores[lo:hi]
@@ -302,14 +352,71 @@ def save_scores(m: ScoreMatrix, path: str, fmt: str = "binary") -> None:
 def load_scores(path: str, fmt: str = "auto") -> ScoreMatrix:
     """Load a score file. With fmt="auto" the binary magic decides."""
     if fmt == "auto":
-        with open(path, "rb") as fh:
-            head = fh.read(len(_MAGIC))
-        fmt = "binary" if head == _MAGIC else "csv"
+        fmt = _sniff(path)
     if fmt == "csv":
         return _load_csv(path)
     if fmt == "binary":
         return _load_binary(path)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreBlocks:
+    """A score file walked in row blocks of about ``_BLOCK_CELLS`` cells.
+
+    :func:`open_scores` reads and checks the kind, the shape and the labels
+    up front; iterating yields ``(first_row, ScoreMatrix)`` for consecutive
+    row blocks. Binary scores are read from disk one block at a time, so
+    memory is bounded by the block, not by n, and a bad score is reported
+    with its row in the file. A CSV file is loaded whole (its kind is
+    inferred from every row) and then walked in the same blocks.
+    """
+
+    path: str
+    kind: str
+    n_classes: int
+    labels: np.ndarray
+    matrix: ScoreMatrix | None = None  # the whole CSV matrix; None for binary
+
+    @property
+    def n(self) -> int:
+        return self.labels.shape[0]
+
+    def __iter__(self):
+        n, k, m = self.n, self.n_classes, self.matrix
+        rows = max(1, _BLOCK_CELLS // k)
+        if m is not None:
+            for lo in range(0, n, rows):
+                yield lo, ScoreMatrix._trusted(
+                    m.scores[lo:lo + rows], m.labels[lo:lo + rows], self.kind)
+            return
+        with open(self.path, "rb") as fh:
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                scores = _valid_scores(_read_rows(fh, self.path, k, lo, hi), self.kind, lo)
+                yield lo, ScoreMatrix._trusted(scores, self.labels[lo:hi], self.kind)
+
+
+def open_scores(path: str) -> ScoreBlocks:
+    """Open a score file (binary or CSV, by its magic) for a walk in row blocks.
+
+    A binary file's size, kind flag and labels are checked here, before
+    any score is read.
+    """
+    if _sniff(path) == "csv":
+        m = _load_csv(path)
+        return ScoreBlocks(path, m.kind, m.n_classes, m.labels, m)
+    with open(path, "rb") as fh:
+        kind, n, k = _read_header(fh, path)
+        labels = _read_labels(fh, n, k)
+    labels.setflags(write=False)
+    return ScoreBlocks(path, kind, k, labels)
+
+
+def _sniff(path: str) -> str:
+    with open(path, "rb") as fh:
+        head = fh.read(len(_MAGIC))
+    return "binary" if head == _MAGIC else "csv"
 
 
 def _save_csv(m: ScoreMatrix, path: str) -> None:
@@ -366,25 +473,46 @@ def _save_binary(m: ScoreMatrix, path: str) -> None:
     kind_flag = 0 if m.kind == "logits" else 1
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<BQQ", kind_flag, m.n, m.n_classes))
+        fh.write(_HEAD.pack(kind_flag, m.n, m.n_classes))
         fh.write(m.scores.astype("<f4").tobytes(order="C"))
         fh.write(m.labels.astype("<u4").tobytes())
 
 
-def _load_binary(path: str) -> ScoreMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = len(_MAGIC) + struct.calcsize("<BQQ")
-    _check(len(blob) >= head, f"{path}: truncated header")
-    _check(blob[: len(_MAGIC)] == _MAGIC, f"{path}: bad magic, not a score file")
-    kind_flag, n, k = struct.unpack_from("<BQQ", blob, len(_MAGIC))
+def _read_header(fh, path: str) -> tuple[str, int, int]:
+    """(kind, n, K) of an open binary score file, whose size must match them."""
+    head = fh.read(_HEAD_BYTES)
+    _check(len(head) == _HEAD_BYTES, f"{path}: truncated header")
+    _check(head[: len(_MAGIC)] == _MAGIC, f"{path}: bad magic, not a score file")
+    kind_flag, n, k = _HEAD.unpack_from(head, len(_MAGIC))
     _check(kind_flag in (0, 1), f"{path}: bad kind flag {kind_flag}")
     _check(n > 0, f"{path}: empty matrix")
-    need = head + 4 * n * k + 4 * n
-    _check(len(blob) == need, f"{path}: expected {need} bytes, found {len(blob)}")
-    scores = np.frombuffer(blob, dtype="<f4", count=n * k, offset=head)
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=head + 4 * n * k)
-    # ScoreMatrix converts the float32 and uint32 views to 64 bits in one copy.
-    return ScoreMatrix(
-        scores.reshape(n, k), labels, "logits" if kind_flag == 0 else "probabilities"
-    )
+    _check(k >= 2, f"{path}: need at least 2 classes, got {k}")
+    need = _HEAD_BYTES + 4 * n * k + 4 * n
+    size = os.fstat(fh.fileno()).st_size
+    _check(size == need, f"{path}: truncated or padded, expected {need} bytes, found {size}")
+    return ("logits" if kind_flag == 0 else "probabilities"), n, k
+
+
+def _read_labels(fh, n: int, k: int) -> np.ndarray:
+    """The labels of a binary score file as int64, checked to lie in [0, K)."""
+    fh.seek(_HEAD_BYTES + 4 * n * k)
+    labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
+    _check_labels(labels, k)
+    return labels
+
+
+def _read_rows(fh, path: str, k: int, lo: int, hi: int) -> np.ndarray:
+    """Float32 scores of rows lo:hi of a binary score file."""
+    fh.seek(_HEAD_BYTES + 4 * lo * k)
+    scores = np.fromfile(fh, dtype="<f4", count=(hi - lo) * k)
+    _check(scores.size == (hi - lo) * k, f"{path}: truncated at row {lo}")
+    return scores.reshape(hi - lo, k)
+
+
+def _load_binary(path: str) -> ScoreMatrix:
+    with open(path, "rb") as fh:
+        kind, n, k = _read_header(fh, path)
+        labels = _read_labels(fh, n, k)
+        scores = _read_rows(fh, path, k, 0, n)
+    # ScoreMatrix converts the float32 scores to float64 in one copy.
+    return ScoreMatrix(scores, labels, kind)

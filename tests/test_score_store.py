@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cset
-from cset import seeds
+from cset import score_store, seeds
 from cset.score_store import _SORT_BLOCK_ROWS, DataError, ScoreMatrix, SplitSpec, _order_ties
 
 from conftest import dirichlet_matrix, logit_matrices
@@ -155,6 +155,35 @@ def test_label_ranks_memo_ignores_later_changes_to_the_callers_labels():
     labels[:] = (labels + 2) % 5
     np.testing.assert_array_equal(ss.label_ranks(labels), _fresh_ranks(ss, labels))
     np.testing.assert_array_equal(first, before)
+
+
+def _whole_matrix_ranks(perm, labels):
+    """label_ranks as it was: one n x K inverse permutation."""
+    n, k = perm.shape
+    inv = np.empty_like(perm)
+    np.put_along_axis(inv, perm, np.broadcast_to(np.arange(k), (n, k)), axis=1)
+    return inv[np.arange(n), labels] + 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 13, 40])
+def test_label_ranks_in_row_blocks_match_the_whole_matrix_inverse(monkeypatch, n):
+    monkeypatch.setattr(score_store, "_BLOCK_CELLS", 4 * 6)  # 4 rows per block
+    m = dirichlet_matrix(n, 6, seed=n)
+    ss = cset.sort_scores(m, seed=3)
+    ranks = ss.label_ranks(m.labels)
+    want = _whole_matrix_ranks(ss.perm, m.labels)
+    assert ranks.dtype == want.dtype
+    np.testing.assert_array_equal(ranks, want)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 100])
+def test_label_ranks_refuses_labels_outside_the_classes(bad):
+    m = dirichlet_matrix(9, 6, seed=1)
+    ss = cset.sort_scores(m, seed=0)
+    labels = m.labels.copy()
+    labels[5] = bad
+    with pytest.raises(DataError, match="row 5"):
+        ss.label_ranks(labels)
 
 
 def test_cumsum_matches_sorted(three_class_sorted):
@@ -382,6 +411,31 @@ def test_sort_rows_do_not_depend_on_later_rows(shape, n, k, seed, data):
     np.testing.assert_array_equal(full.perm[:j], head.perm)
     assert full.sorted[:j].tobytes() == head.sorted.tobytes()
     assert full.cumsum[:j].tobytes() == head.cumsum.tobytes()
+
+
+@given(
+    st.sampled_from(ROW_SHAPES),
+    st.integers(1, 2 * _SORT_BLOCK_ROWS + 9),
+    st.sampled_from([2, 5, 11]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_sort_of_rows_from_first_row_matches_those_rows_of_the_whole_sort(
+    shape, n, k, seed, data
+):
+    m = _rows(shape, n, k, seed)
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    full = cset.sort_scores(m, seed=seed)
+    part = cset.sort_scores(m.take(np.arange(lo, hi)), seed=seed, first_row=lo)
+    np.testing.assert_array_equal(part.perm, full.perm[lo:hi])
+    assert part.sorted.tobytes() == full.sorted[lo:hi].tobytes()
+    assert part.cumsum.tobytes() == full.cumsum[lo:hi].tobytes()
+
+
+def test_sort_rejects_a_negative_first_row(three_class_row):
+    with pytest.raises(ValueError, match="first_row"):
+        cset.sort_scores(three_class_row, seed=0, first_row=-1)
 
 
 # --- softmax and the binary loader against their one-step references ------
