@@ -186,14 +186,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n=args.n,
-        n_classes=args.k,
-        concentration=args.concentration,
-        corruption=args.corruption,
-        corruption_param=args.corruption_param,
-        seed=args.seed,
-    )
+    spec = _synth_spec(args, args.n)
     truth, observed = generate(spec)
     save_scores(observed, _out(args.out, "observed.bin"), "binary")
     save_scores(truth, _out(args.out, "true_probs.bin"), "binary")
@@ -319,15 +312,7 @@ def cmd_experiment(args) -> int:
         m = load_scores(args.input, "auto")
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
-        spec = SynthSpec(
-            n=pool,
-            n_classes=args.k,
-            concentration=args.concentration,
-            corruption=args.corruption,
-            corruption_param=args.corruption_param,
-            seed=args.seed,
-        )
-        _, m = generate(spec)
+        _, m = generate(_synth_spec(args, pool))
 
     policies: dict[str, MethodPolicy] = {}
     for name in args.methods:
@@ -396,6 +381,21 @@ def _add_out(p, required=True):
     p.add_argument("--out", required=required, help="output directory")
 
 
+def _add_synth_flags(p):
+    p.add_argument("--concentration", type=_nonneg_float, default=0.0,
+                   help="Dirichlet concentration (0 means 0.05 * K)")
+    p.add_argument("--corruption", choices=CORRUPTIONS, default="none")
+    p.add_argument("--corruption-param", type=_nonneg_float, default=0.0,
+                   help="temperature t, or top_m for tail_permute")
+
+
+def _synth_spec(args, n: int) -> SynthSpec:
+    """The generator settings of --k and the synth flags, for n rows."""
+    return SynthSpec(n=n, n_classes=args.k, concentration=args.concentration,
+                     corruption=args.corruption, corruption_param=args.corruption_param,
+                     seed=args.seed)
+
+
 def _add_common_model_flags(p):
     p.add_argument("--alpha", type=_alpha, default=0.1, help="miscoverage level in (0, 1)")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed")
@@ -421,11 +421,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate synthetic score matrices")
     p.add_argument("--n", type=_pos_int, required=True, help="number of rows")
     p.add_argument("--k", type=_pos_int, required=True, help="number of classes")
-    p.add_argument("--concentration", type=_nonneg_float, default=0.0,
-                   help="Dirichlet concentration (0 means 0.05 * K)")
-    p.add_argument("--corruption", choices=CORRUPTIONS, default="none")
-    p.add_argument("--corruption-param", type=_nonneg_float, default=0.0,
-                   help="temperature t, or top_m for tail_permute")
+    _add_synth_flags(p)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     _add_out(p)
     p.set_defaults(func=cmd_synth)
@@ -487,9 +483,7 @@ def build_parser():
     p.add_argument("--n", type=_pos_int, default=None,
                    help="synthetic pool size (default: sum of split sizes)")
     p.add_argument("--k", type=_pos_int, default=100, help="synthetic class count")
-    p.add_argument("--concentration", type=_nonneg_float, default=0.0)
-    p.add_argument("--corruption", choices=CORRUPTIONS, default="none")
-    p.add_argument("--corruption-param", type=_nonneg_float, default=0.0)
+    _add_synth_flags(p)
     p.add_argument("--methods", type=_method_list, default=METHODS,
                    help="comma-separated subset of " + ",".join(METHODS))
     p.add_argument("--trials", type=_pos_int, default=10)

@@ -86,27 +86,19 @@ def strata_csv(result: TrialAggregate | EvalReport) -> str:
 
 
 def render_strata_table(aggs: dict[str, TrialAggregate]) -> str:
-    """Rows are set-size strata; each method contributes a count and a
-    coverage column. Strata a method never produced stay blank."""
-    methods = list(aggs)
-    keys = []
-    for agg in aggs.values():
-        for row in agg.per_stratum:
-            if (row.lo, row.hi) not in keys:
-                keys.append((row.lo, row.hi))
-    keys.sort()
+    """Rows are set-size strata in size order; each method contributes a
+    count and a coverage column, blank where no trial filled the stratum.
+    Every method of a run measures the same strata in the same order, so
+    their rows line up by position."""
     header = ["sizes"]
-    for m in methods:
+    for m in aggs:
         header += [f"cnt_{m}", f"cvg_{m}"]
     rows = []
-    for lo, hi in keys:
+    for same in sorted(zip(*(agg.per_stratum for agg in aggs.values())), key=lambda r: r[0].lo):
+        lo, hi = same[0].lo, same[0].hi
         cells = [f"{lo} to {hi}" if lo != hi else str(lo)]
-        for m in methods:
-            match = [r for r in aggs[m].per_stratum if (r.lo, r.hi) == (lo, hi)]
-            if match and match[0].count:
-                cells += [str(match[0].count), _f(match[0].coverage)]
-            else:
-                cells += ["", ""]
+        for r in same:
+            cells += [str(r.count), _f(r.coverage)] if r.count else ["", ""]
         rows.append(cells)
     return _text_table(header, rows)
 

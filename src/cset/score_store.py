@@ -446,7 +446,7 @@ def _load_csv(path: str) -> ScoreMatrix:
                 if len(parts) != k + 1:
                     raise DataError(f"{path}: row {i} has {len(parts) - 1} scores, expected {k}")
                 try:
-                    rows.append([float(p) for p in parts[:k]])
+                    rows.append(np.fromiter(map(float, parts[:k]), dtype=np.float64, count=k))
                     labels.append(int(parts[k]))
                 except ValueError:
                     raise DataError(f"{path}: row {i} has a malformed value") from None
@@ -456,6 +456,7 @@ def _load_csv(path: str) -> ScoreMatrix:
         ) from None
     _check(rows, f"{path}: empty matrix")
     scores = np.array(rows, dtype=np.float64)
+    del rows  # free the row arrays before ScoreMatrix copies the matrix
     kind = _infer_kind(scores)
     return ScoreMatrix(scores, np.array(labels, dtype=np.int64), kind)
 

@@ -81,9 +81,11 @@ def generate(spec: SynthSpec) -> tuple[ScoreMatrix, ScoreMatrix]:
     r = seeds.rng(spec.seed, seeds.LABELS).random(n)
     labels = np.minimum((np.cumsum(p, axis=1) < r[:, None]).sum(axis=1), k - 1)
 
+    # Both arrays are fresh and valid, so they are wrapped without a copy;
+    # with no corruption, truth and observed share one read-only array.
     observed = _corrupt(p, spec)
-    truth = ScoreMatrix(p, labels, "probabilities")
-    return truth, ScoreMatrix(observed, labels, "probabilities")
+    return (ScoreMatrix._trusted(p, labels, "probabilities"),
+            ScoreMatrix._trusted(observed, labels, "probabilities"))
 
 
 def _corrupt(p: np.ndarray, spec: SynthSpec) -> np.ndarray:

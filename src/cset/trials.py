@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import seeds
-from .conformal import ConformalModel, MethodSpec
-from .metrics import DifficultyRow, EvalReport, StratumRow, evaluate_models
+from .conformal import MethodSpec
+from .metrics import DifficultyRow, EvalReport, StratumRow, _validate_strata, evaluate_models
 from .platt import fit_temperature
 from .score_store import ScoreMatrix, SortedScores, SplitSpec, softmax, sort_scores, split
 from .synth import SynthSpec, generate
@@ -48,6 +48,8 @@ class TrialProtocol:
             raise ValueError("need at least one trial")
         if self.platt_split not in PLATT_SPLITS:
             raise ValueError(f"platt_split must be one of {PLATT_SPLITS}")
+        if self.strata is not None:
+            _validate_strata(self.strata)
 
 
 @dataclass(frozen=True)
@@ -102,66 +104,6 @@ class TrialAggregate:
         return float(np.median(self.top5))
 
 
-@dataclass(frozen=True)
-class _TrialData:
-    """Sorted splits of one trial, shared by every method."""
-
-    trial_seed: int
-    ss_tune: SortedScores | None
-    y_tune: np.ndarray | None
-    ss_cal: SortedScores
-    y_cal: np.ndarray
-    ss_eval: SortedScores
-    y_eval: np.ndarray
-
-
-def _prepare(
-    tune_m: ScoreMatrix | None,
-    cal_m: ScoreMatrix,
-    eval_m: ScoreMatrix,
-    protocol: TrialProtocol,
-    trial_seed: int,
-) -> _TrialData:
-    if cal_m.kind == "logits":
-        fit_on = cal_m
-        if protocol.platt_split == "tuning":
-            if tune_m is None:
-                raise ValueError("platt_split='tuning' needs a tuning split")
-            fit_on = tune_m
-        t = fit_temperature(fit_on).temperature
-        tune_m = softmax(tune_m, t) if tune_m is not None else None
-        cal_m = softmax(cal_m, t)
-        eval_m = softmax(eval_m, t)
-
-    ss_tune = (
-        sort_scores(tune_m, seeds.child_seed(trial_seed, seeds.SORT, 0))
-        if tune_m is not None
-        else None
-    )
-    ss_cal = sort_scores(cal_m, seeds.child_seed(trial_seed, seeds.SORT, 1))
-    ss_eval = sort_scores(eval_m, seeds.child_seed(trial_seed, seeds.SORT, 2))
-    return _TrialData(
-        trial_seed=trial_seed,
-        ss_tune=ss_tune,
-        y_tune=tune_m.labels if tune_m is not None else None,
-        ss_cal=ss_cal,
-        y_cal=cal_m.labels,
-        ss_eval=ss_eval,
-        y_eval=eval_m.labels,
-    )
-
-
-def _fit_method(data: _TrialData, policy: MethodPolicy, strata) -> ConformalModel:
-    spec = policy.spec
-    if policy.tune_objective is not None:
-        if data.ss_tune is None:
-            raise ValueError("tuning requested but the tuning split is empty")
-        res = tune(data.ss_tune, data.y_tune, spec.alpha, policy.tune_objective,
-                   policy.lambda_grid, seeds.child_seed(data.trial_seed, seeds.TUNE), strata)
-        spec = replace(spec, penalty=res.penalty, kreg=res.kreg)
-    return fit_model(data.ss_cal, data.y_cal, spec, data.trial_seed)
-
-
 def _median(values) -> float | None:
     """Median of the trials whose row was nonempty; None if none was."""
     kept = [v for v in values if v is not None]
@@ -211,13 +153,43 @@ def _run_trial(
 ) -> dict[str, tuple[EvalReport, MethodSpec]]:
     """Draw one trial's splits, fit every policy, and measure every model.
 
-    The splits are sorted once, and one evaluate_models call measures all
-    the trial's models on the evaluation split. Everything drawn here is
-    released on return, before the next trial draws its data.
+    In the protocol's order: fit the temperature on the platt_split split
+    and softmax, sort each split once (the tuning split only if some policy
+    tunes), tune and fit each policy on the calibration split, and measure
+    every model in one evaluate_models call. Only the sorted splits and
+    their labels outlive the sorts; everything is released on return,
+    before the next trial draws its data.
     """
-    data = _prepare(*draw(trial_seed), protocol, trial_seed)
-    models = [_fit_method(data, policy, protocol.strata) for policy in policies.values()]
-    reports = evaluate_models(models, data.ss_eval, data.y_eval, trial_seed, protocol.strata)
+    tune_m, cal_m, eval_m = draw(trial_seed)
+    tunes = any(policy.tune_objective is not None for policy in policies.values())
+    if tunes and tune_m is None:
+        raise ValueError("tuning requested but the tuning split is empty")
+    temperature = None
+    if cal_m.kind == "logits":
+        if protocol.platt_split == "tuning" and tune_m is None:
+            raise ValueError("platt_split='tuning' needs a tuning split")
+        fit_on = tune_m if protocol.platt_split == "tuning" else cal_m
+        temperature = fit_temperature(fit_on).temperature
+
+    def sort_split(m: ScoreMatrix, part: int) -> tuple[SortedScores, np.ndarray]:
+        if temperature is not None:
+            m = softmax(m, temperature)
+        return sort_scores(m, seeds.child_seed(trial_seed, seeds.SORT, part)), m.labels
+
+    ss_tune, y_tune = sort_split(tune_m, 0) if tunes else (None, None)
+    ss_cal, y_cal = sort_split(cal_m, 1)
+    ss_eval, y_eval = sort_split(eval_m, 2)
+    del tune_m, cal_m, eval_m  # free the matrices; the fits need only the sorted splits
+
+    models = []
+    for policy in policies.values():
+        spec = policy.spec
+        if policy.tune_objective is not None:
+            res = tune(ss_tune, y_tune, spec.alpha, policy.tune_objective, policy.lambda_grid,
+                       seeds.child_seed(trial_seed, seeds.TUNE), protocol.strata)
+            spec = replace(spec, penalty=res.penalty, kreg=res.kreg)
+        models.append(fit_model(ss_cal, y_cal, spec, trial_seed))
+    reports = evaluate_models(models, ss_eval, y_eval, trial_seed, protocol.strata)
     return {name: (report, model.spec) for name, model, report in zip(policies, models, reports)}
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,31 @@ def test_csv_errors_carry_row_numbers(tmp_path):
     path2.write_text("scores\n0.5,0.5,0\n")
     with pytest.raises(DataError, match="header"):
         cset.load_scores(str(path2))
+
+
+def test_csv_malformed_values_name_their_row(tmp_path):
+    for bad in ("0.5,x,0.2,0", "0.5,0.3,0.2,1.5"):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"scores,K=3\n0.5,0.3,0.2,0\n{bad}\n")
+        with pytest.raises(DataError, match="row 1 has a malformed value"):
+            cset.load_scores(str(path))
+
+
+def test_csv_load_holds_under_four_matrices(tmp_path):
+    n, k = 1000, 300
+    rng = np.random.default_rng(2)
+    m = ScoreMatrix(rng.standard_normal((n, k)), rng.integers(0, k, n), "logits")
+    path = str(tmp_path / "x.csv")
+    cset.save_scores(m, path, fmt="csv")
+    tracemalloc.start()
+    try:
+        loaded = cset.load_scores(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.scores, m.scores)
+    one_matrix = n * k * 8  # a list of Python floats per row took about six
+    assert peak < 4 * one_matrix, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_binary_truncation_and_magic_errors(tmp_path):

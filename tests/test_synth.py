@@ -148,3 +148,18 @@ def test_oracle_coverage_rejects_fixed_k():
     spec = SynthSpec(n=1, n_classes=5, seed=0)
     with pytest.raises(ValueError):
         oracle_coverage(spec, MethodSpec("fixed_k", 0.1), 10, 10, 2)
+
+
+@pytest.mark.parametrize("corruption, param", [("none", 0.0), ("temperature", 2.0),
+                                               ("tail_permute", 3)])
+def test_generate_matches_the_public_constructor_bit_for_bit(corruption, param):
+    truth, observed = generate(SynthSpec(n=300, n_classes=20, corruption=corruption,
+                                         corruption_param=param, seed=6))
+    for m in (truth, observed):
+        public = cset.ScoreMatrix(m.scores, m.labels, m.kind)
+        assert m.scores.dtype == public.scores.dtype and m.labels.dtype == public.labels.dtype
+        np.testing.assert_array_equal(m.scores.view(np.uint64), public.scores.view(np.uint64))
+        np.testing.assert_array_equal(m.labels, public.labels)
+        assert not m.scores.flags.writeable and not m.labels.flags.writeable
+    if corruption == "none":
+        assert observed.scores is truth.scores

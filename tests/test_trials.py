@@ -233,3 +233,77 @@ def test_adaptiveness_tuning_follows_the_protocol_strata():
         assert agg.kregs[t] == chosen.kreg
         differs += chosen.penalty != default.penalty
     assert differs > 0
+
+
+def _record_calls(monkeypatch, module, name):
+    """Wrap module.name so that the positional arguments of each call are recorded."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("tuned, per_trial", [(False, 2), (True, 3)])
+def test_tuning_split_is_sorted_only_when_a_policy_tunes(monkeypatch, tuned, per_trial):
+    import cset.trials as trials
+    from cset import seeds
+
+    m = dirichlet_matrix(500, 10, seed=8, concentration=0.8)
+    sorts = _record_calls(monkeypatch, trials, "sort_scores")
+    pols = {"aps": MethodPolicy(MethodSpec("aps", 0.2)),
+            "raps": MethodPolicy(MethodSpec("raps", 0.2, penalty=0.01),
+                                 tune_objective="size" if tuned else None)}
+    protocol = small_protocol(tune_size=200, cal_size=150, eval_size=150)
+    run_trials_multi(m, protocol, pols)
+    # each split is sorted with its own (SORT, part) child of the trial seed
+    parts = [(0, 200), (1, 150), (2, 150)] if tuned else [(1, 150), (2, 150)]
+    expected = []
+    for t in range(protocol.n_trials):
+        trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
+        expected += [(n, seeds.child_seed(trial_seed, seeds.SORT, part)) for part, n in parts]
+    assert len(sorts) == per_trial * protocol.n_trials
+    assert [(m.n, seed) for m, seed in sorts] == expected
+
+
+def test_platt_split_tuning_fits_on_the_raw_tuning_logits_with_a_fixed_lambda(monkeypatch):
+    import cset.trials as trials
+    from cset import seeds
+    from cset.score_store import SplitSpec, split
+
+    g = np.random.default_rng(10)
+    m = cset.ScoreMatrix(g.normal(0, 2.0, size=(500, 6)), g.integers(0, 6, 500), "logits")
+    fits = _record_calls(monkeypatch, trials, "fit_temperature")
+    sorts = _record_calls(monkeypatch, trials, "sort_scores")
+    protocol = small_protocol(tune_size=200, cal_size=150, eval_size=150, platt_split="tuning")
+    run_trials(m, protocol, MethodPolicy(MethodSpec("raps", 0.2, penalty=0.05, kreg=2)))
+    assert len(fits) == protocol.n_trials and len(sorts) == 2 * protocol.n_trials
+    for t, (fit_on,) in enumerate(fits):
+        trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
+        tune_m, _, _ = split(m, SplitSpec(seed=trial_seed, sizes=(200, 150, 150)))
+        assert fit_on.kind == "logits"
+        np.testing.assert_array_equal(fit_on.scores, tune_m.scores)
+        np.testing.assert_array_equal(fit_on.labels, tune_m.labels)
+
+
+def test_empty_tuning_split_fails_before_any_fit(monkeypatch):
+    import cset.trials as trials
+
+    g = np.random.default_rng(11)
+    m = cset.ScoreMatrix(g.normal(0, 2.0, size=(400, 6)), g.integers(0, 6, 400), "logits")
+    fits = _record_calls(monkeypatch, trials, "fit_temperature")
+    sorts = _record_calls(monkeypatch, trials, "sort_scores")
+    pol = MethodPolicy(MethodSpec("raps", 0.2), tune_objective="size")
+    with pytest.raises(ValueError, match="tuning split is empty"):
+        run_trials(m, small_protocol(tune_size=0), pol)
+    assert fits == [] and sorts == []
+
+
+@pytest.mark.parametrize("strata", [((0, 2), (2, 8)), (), ((0, 1), (3, 2))])
+def test_protocol_rejects_bad_strata_before_any_trial(strata):
+    with pytest.raises(ValueError):
+        small_protocol(strata=strata)
