@@ -111,9 +111,11 @@ def _strata(s: str) -> tuple:
 
 def _method_list(s: str) -> tuple:
     names = tuple(p.strip() for p in s.split(",") if p.strip())
-    for n in names:
+    for i, n in enumerate(names):
         if n not in METHODS:
             raise argparse.ArgumentTypeError(f"unknown method {n!r}")
+        if n in names[:i]:
+            raise argparse.ArgumentTypeError(f"method {n!r} is named twice")
     if not names:
         raise argparse.ArgumentTypeError("empty method list")
     return names
@@ -165,7 +167,7 @@ def _check_kind(kind: str, temperature) -> None:
 
 def _load_sorted(args):
     """Load --input as probabilities (softmax at --temperature for logits) and sort it."""
-    m = load_scores(args.input, "auto")
+    m = load_scores(args.input)
     _check_kind(m.kind, args.temperature)
     if m.kind == "logits":
         m = softmax(m, args.temperature)
@@ -175,7 +177,7 @@ def _load_sorted(args):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    m = load_scores(args.input, args.format)
+    m = load_scores(args.input)
     print(f"n={m.n} K={m.n_classes} kind={m.kind}")
     if args.out:
         ext = "csv" if args.to == "csv" else "bin"
@@ -195,7 +197,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit_temp(args) -> int:
-    m = load_scores(args.input, "auto")
+    m = load_scores(args.input)
     if m.kind != "logits":
         raise DataError("fit-temp expects a logits file")
     fit = fit_temperature(m, (args.t_lo, args.t_hi), args.t_tol)
@@ -227,15 +229,15 @@ def cmd_tune(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    m, ss = _load_sorted(args)
     spec = MethodSpec(
         method=args.method,
         alpha=args.alpha,
-        penalty=args.penalty if args.method == "raps" else 0.0,
+        penalty=args.penalty,
         kreg=args.k_reg,
         randomized=not args.deterministic,
         boundary_inclusive=args.boundary_inclusive,
     )
+    m, ss = _load_sorted(args)
     model = fit_model(ss, m.labels, spec, args.seed)
     path = _out(args.out, "model.txt")
     save_model(model, path)
@@ -309,26 +311,20 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     rand = not args.deterministic
     if args.input:
-        m = load_scores(args.input, "auto")
+        m = load_scores(args.input)
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
         _, m = generate(_synth_spec(args, pool))
 
+    # raps is tuned on each trial's tuning split unless --lambda fixes it.
     policies: dict[str, MethodPolicy] = {}
     for name in args.methods:
-        if name == "raps" and args.penalty is None:
-            policies[name] = MethodPolicy(
-                MethodSpec("raps", args.alpha, randomized=rand),
-                tune_objective=args.tune_objective,
-                lambda_grid=args.lambda_grid,
-            )
-        elif name == "raps":
-            policies[name] = MethodPolicy(
-                MethodSpec("raps", args.alpha, penalty=args.penalty,
-                           kreg=args.k_reg, randomized=rand)
-            )
-        else:
-            policies[name] = MethodPolicy(MethodSpec(name, args.alpha, randomized=rand))
+        fixed = name == "raps" and args.penalty is not None
+        tuned = name == "raps" and not fixed
+        spec = MethodSpec(name, args.alpha, penalty=args.penalty if fixed else 0.0,
+                          kreg=args.k_reg if fixed else 1, randomized=rand)
+        policies[name] = MethodPolicy(spec, args.tune_objective if tuned else None,
+                                      args.lambda_grid)
 
     protocol = TrialProtocol(
         n_trials=args.trials,
@@ -339,10 +335,6 @@ def cmd_experiment(args) -> int:
         platt_split=args.platt_split,
         strata=args.strata,
     )
-    if protocol.tune_size == 0:
-        for p in policies.values():
-            if p.tune_objective is not None:
-                raise ValueError("raps tuning needs --tune-size > 0 (or pass --lambda)")
 
     # One trial loop for the methods and the sweep, so each split is sorted
     # once; trial seeds depend on the trial index alone, so every method's
@@ -413,7 +405,6 @@ def build_parser():
 
     p = sub.add_parser("ingest", help="validate a score file and convert formats")
     p.add_argument("--input", required=True, help="score file (csv or binary)")
-    p.add_argument("--format", choices=("auto", "csv", "binary"), default="auto")
     p.add_argument("--to", choices=("binary", "csv"), default="binary")
     _add_out(p, required=False)
     p.set_defaults(func=cmd_ingest)
@@ -509,27 +500,14 @@ def build_parser():
 def _extract_config(argv) -> tuple[str | None, list]:
     """Pull --config out of argv so it works in any position.
 
-    argparse would only accept the flag before the subcommand name; config
-    loading happens before parsing anyway, so the tokens are consumed here.
+    The main parser would only accept the flag before the subcommand name,
+    and the config must be applied before that parser runs, so a parser that
+    knows only --config takes it out first and leaves the rest in order.
     """
-    path = None
-    rest = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(tok)
-        i += 1
-    return path, rest
+    pre = argparse.ArgumentParser(prog="cset", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    return known.config, rest
 
 
 def _apply_config(sub, argv, path) -> None:
@@ -587,10 +565,7 @@ def main(argv=None) -> int:
         return code
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -397,6 +397,8 @@ def set_size_given_u(model: ConformalModel, ss: SortedScores, row: int) -> tuple
 # --- model files ----------------------------------------------------------
 
 _BOOLS = {"true": True, "false": False}
+_MODEL_KEYS = ("method", "alpha", "lambda", "k_reg", "randomized", "boundary_inclusive",
+               "tau_hat", "n_cal", "seed", "n_classes", "k_star", "mix_prob")
 
 
 def _fmt(v) -> str:
@@ -439,7 +441,8 @@ def _load_flag(fields: dict, key: str, default: str | None = None) -> bool:
 
 
 def load_model(path: str) -> ConformalModel:
-    """Read a model written by save_model; any malformed field is a DataError."""
+    """Read a model written by save_model; any malformed, unknown or repeated
+    field is a DataError."""
     fields: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -449,7 +452,12 @@ def load_model(path: str) -> ConformalModel:
             if "=" not in line:
                 raise DataError(f"{path}: malformed model line {line!r}")
             key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _MODEL_KEYS:
+                raise DataError(f"{path}: unknown model field {key!r}")
+            if key in fields:
+                raise DataError(f"{path}: repeated model field {key!r}")
+            fields[key] = val.strip()
     try:
         spec = MethodSpec(
             method=fields["method"],

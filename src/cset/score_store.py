@@ -438,10 +438,11 @@ def _load_csv(path: str) -> ScoreMatrix:
             except ValueError:
                 raise DataError(f"{path}: malformed header {header!r}") from None
             rows, labels = [], []
-            for i, line in enumerate(fh):
+            for line in fh:
                 line = line.strip()
                 if not line:
                     continue
+                i = len(rows)  # data rows, as ScoreMatrix counts them
                 parts = line.split(",")
                 if len(parts) != k + 1:
                     raise DataError(f"{path}: row {i} has {len(parts) - 1} scores, expected {k}")

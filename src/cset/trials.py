@@ -163,7 +163,8 @@ def _run_trial(
     tune_m, cal_m, eval_m = draw(trial_seed)
     tunes = any(policy.tune_objective is not None for policy in policies.values())
     if tunes and tune_m is None:
-        raise ValueError("tuning requested but the tuning split is empty")
+        raise ValueError("tuning requested but the tuning split is empty: "
+                         "give it rows (tune_size > 0) or fix the raps penalty")
     temperature = None
     if cal_m.kind == "logits":
         if protocol.platt_split == "tuning" and tune_m is None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cset
-from cset.cli import main
+from cset.cli import _extract_config, main
 from cset.conformal import ConformalModel, MethodSpec
 
 
@@ -544,3 +544,82 @@ def test_config_help_key_is_usage_error(tmp_path, four_row_file, capsys):
     assert code == 2
     assert "unknown config key 'help'" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--config", "c.json", "calibrate", "--input", "a"], ("c.json", ["calibrate", "--input", "a"])),
+    (["calibrate", "--input", "a", "--config", "c.json"], ("c.json", ["calibrate", "--input", "a"])),
+    (["calibrate", "--config", "c.json", "--input", "a"], ("c.json", ["calibrate", "--input", "a"])),
+    (["calibrate", "--config=c.json", "--input", "a"], ("c.json", ["calibrate", "--input", "a"])),
+    (["calibrate", "--config", "a.json", "--config", "b.json"], ("b.json", ["calibrate"])),
+    (["calibrate", "--lambda", "-1", "--config", "c.json"], ("c.json", ["calibrate", "--lambda", "-1"])),
+    (["calibrate", "--lambda=-1", "--config", "c.json"], ("c.json", ["calibrate", "--lambda=-1"])),
+    (["calibrate", "--conf", "c.json"], (None, ["calibrate", "--conf", "c.json"])),
+    (["calibrate", "-h"], (None, ["calibrate", "-h"])),
+    (["calibrate", "--input", "--config=x"], ("x", ["calibrate", "--input"])),
+    ([], (None, [])),
+])
+def test_config_pre_parser_takes_config_from_any_position(argv, expected):
+    assert _extract_config(argv) == expected
+
+
+def test_trailing_config_without_path_is_usage_error(capsys):
+    assert run(["calibrate", "--input", "a.csv", "--out", "o", "--config"]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_calibrate_refuses_lambda_for_other_methods(four_row_file, tmp_path, capsys):
+    out = tmp_path / "m"
+    code = run([
+        "calibrate", "--input", four_row_file, "--method", "aps", "--lambda", "0.5",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "penalty is a raps knob" in capsys.readouterr().err
+    assert not (out / "model.txt").exists() and not (out / "config_used.json").exists()
+
+
+def test_ingest_takes_its_format_from_the_file(tmp_path, capsys):
+    _, m = cset.generate(cset.SynthSpec(n=20, n_classes=4, seed=1))
+    cset.save_scores(m, str(tmp_path / "s.bin"), "binary")
+    out = tmp_path / "conv"
+    code = run(["ingest", "--input", str(tmp_path / "s.bin"), "--format", "csv",
+                "--out", str(out)])
+    assert code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_tuned_raps_with_empty_tuning_split_says_so(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run([
+        "experiment", "--k", "6", "--trials", "1", "--tune-size", "0", "--cal-size", "50",
+        "--eval-size", "50", "--methods", "aps,raps", "--out", str(out),
+    ])
+    assert code == 2
+    assert "tuning split is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_refuses_a_repeated_method_before_io(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run([
+        "experiment", "--input", str(tmp_path / "missing.bin"), "--cal-size", "50",
+        "--eval-size", "50", "--methods", "aps,aps,lac", "--out", str(out),
+    ])
+    assert code == 2
+    assert "'aps' is named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_refuses_a_model_file_with_an_unknown_key(four_row_file, tmp_path, capsys):
+    model = tmp_path / "m"
+    assert run(["calibrate", "--input", four_row_file, "--method", "aps", "--alpha", "0.5",
+                "--out", str(model)]) == 0
+    path = model / "model.txt"
+    path.write_text(path.read_text() + "temperature = 1.5\n")
+    out = tmp_path / "pred"
+    code = run(["predict", "--model", str(path), "--input", four_row_file, "--out", str(out)])
+    assert code == 1
+    assert "unknown model field 'temperature'" in capsys.readouterr().err
+    assert not out.exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import cset
 from cset.conformal import (
     _SIZE_BLOCK_CELLS,
+    METHODS,
     ConformalModel,
     MethodSpec,
     as_deterministic,
@@ -23,6 +24,7 @@ from cset.conformal import (
     set_sizes_many,
 )
 from cset.score_store import DataError, ScoreMatrix, sort_scores
+from cset.tuning import fit_model
 
 from conftest import dirichlet_matrix
 
@@ -580,3 +582,29 @@ def test_set_sizes_many_checks_every_model():
     (sizes,) = set_sizes_many([as_deterministic(good)], ss)
     np.testing.assert_array_equal(sizes, _old_set_sizes(as_deterministic(good), ss, None))
     assert set_sizes_many([], ss, u) == []
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("temperature = 1.5\n", "unknown model field 'temperature'"),
+    ("tau_hat = 0.9\n", "repeated model field 'tau_hat'"),
+], ids=["unknown", "repeated"])
+def test_model_file_refuses_unknown_and_repeated_keys(tmp_path, extra, message):
+    path = tmp_path / "model.txt"
+    path.write_text(_model_text() + extra)
+    with pytest.raises(DataError, match=message):
+        cset.load_model(str(path))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_saved_model_loads_back(tmp_path, method):
+    path = str(tmp_path / "model.txt")
+    for n in (40, 5):  # 5 rows are too few for alpha = 0.1: tau_hat is inf
+        m = dirichlet_matrix(n, 6, seed=3)
+        ss = sort_scores(m, seed=0)
+        for randomized in (True, False):
+            for inclusive in (True, False):
+                spec = MethodSpec(method, 0.1, penalty=0.05 if method == "raps" else 0.0,
+                                  kreg=2, randomized=randomized, boundary_inclusive=inclusive)
+                model = fit_model(ss, m.labels, spec, seed=4)
+                cset.save_model(model, path)
+                assert cset.load_model(path) == model

@@ -499,3 +499,14 @@ def test_binary_load_matches_float32_reference(tmp_path_factory, m, probabilitie
     assert back.scores.tobytes() == want.tobytes()
     np.testing.assert_array_equal(back.labels, m.labels)
     assert not back.scores.flags.writeable and not back.labels.flags.writeable
+
+
+def test_csv_row_numbers_count_data_rows_not_blank_lines(tmp_path):
+    # A blank line before the third data row: a parse error and a ScoreMatrix
+    # check both name that row by its data index, 2.
+    path = tmp_path / "bad.csv"
+    for bad, message in (("0.5,x,0.2,2", "row 2 has a malformed value"),
+                         ("0.5,nan,0.2,2", "non-finite score in row 2")):
+        path.write_text(f"scores,K=3\n0.5,0.3,0.2,0\n0.2,0.3,0.5,1\n\n{bad}\n")
+        with pytest.raises(DataError, match=message):
+            cset.load_scores(str(path))
