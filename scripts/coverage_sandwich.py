@@ -24,7 +24,8 @@ def parse_args():
                     help="Dirichlet total mass; 0 means the 0.05*K default")
     ap.add_argument("--corruption", default="tail_permute",
                     choices=("none", "temperature", "tail_permute"))
-    ap.add_argument("--corruption-param", type=float, default=10)
+    ap.add_argument("--corruption-param", type=float, default=None,
+                    help="default 10, or none with --corruption none")
     ap.add_argument("--penalty", type=float, default=0.01)
     ap.add_argument("--k-reg", type=int, default=5)
     ap.add_argument("--seed", type=int, default=12345)
@@ -33,9 +34,12 @@ def parse_args():
 
 def main():
     args = parse_args()
+    param = args.corruption_param
+    if param is None:
+        param = 0.0 if args.corruption == "none" else 10.0
     spec = cset.SynthSpec(
         n=1, n_classes=args.k, concentration=args.concentration,
-        corruption=args.corruption, corruption_param=args.corruption_param,
+        corruption=args.corruption, corruption_param=param,
     )
     protocol = cset.TrialProtocol(
         n_trials=args.trials, cal_size=args.cal_size,

@@ -310,21 +310,32 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     rand = not args.deterministic
+    # --lambda fixes the raps penalty, with --k-reg; without it both are tuned on
+    # each trial's tuning split. A raps flag that reaches no model is refused.
+    unused = {"--lambda": args.penalty, "--k-reg": args.k_reg,
+              "--tune-objective": args.tune_objective, "--lambda-grid": args.lambda_grid}
+    policies: dict[str, MethodPolicy] = {}
+    for name in args.methods:
+        if name != "raps":
+            policies[name] = MethodPolicy(MethodSpec(name, args.alpha, randomized=rand))
+        elif args.penalty is not None:
+            spec = MethodSpec(name, args.alpha, args.penalty, args.k_reg or 1, randomized=rand)
+            policies[name] = MethodPolicy(spec)
+            del unused["--lambda"], unused["--k-reg"]
+        else:
+            policies[name] = MethodPolicy(MethodSpec(name, args.alpha, randomized=rand),
+                                          args.tune_objective or "size", args.lambda_grid)
+            del unused["--tune-objective"], unused["--lambda-grid"]
+    stray = [flag for flag, value in unused.items() if value is not None]
+    if stray:
+        raise ValueError(f"{', '.join(stray)} would reach no model (raps flags need raps in "
+                         "--methods; --k-reg needs --lambda; the tuning flags need it unset)")
+
     if args.input:
         m = load_scores(args.input)
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
         _, m = generate(_synth_spec(args, pool))
-
-    # raps is tuned on each trial's tuning split unless --lambda fixes it.
-    policies: dict[str, MethodPolicy] = {}
-    for name in args.methods:
-        fixed = name == "raps" and args.penalty is not None
-        tuned = name == "raps" and not fixed
-        spec = MethodSpec(name, args.alpha, penalty=args.penalty if fixed else 0.0,
-                          kreg=args.k_reg if fixed else 1, randomized=rand)
-        policies[name] = MethodPolicy(spec, args.tune_objective if tuned else None,
-                                      args.lambda_grid)
 
     protocol = TrialProtocol(
         n_trials=args.trials,
@@ -340,14 +351,11 @@ def cmd_experiment(args) -> int:
     # once; trial seeds depend on the trial index alone, so every method's
     # numbers are the same as in a loop of its own.
     kregs = [] if args.no_sweep else [k for k in SWEEP_KREGS if k <= m.n_classes]
-    sweep_names = {
-        (k, lam): f"raps_k{k}_l{i}" for k in kregs for i, lam in enumerate(SWEEP_LAMBDAS)
+    sweep = {
+        (k, lam): MethodPolicy(MethodSpec("raps", args.alpha, lam, k, randomized=rand))
+        for k in kregs for lam in SWEEP_LAMBDAS
     }
-    sweep_policies = {
-        name: MethodPolicy(MethodSpec("raps", args.alpha, penalty=lam, kreg=k, randomized=rand))
-        for (k, lam), name in sweep_names.items()
-    }
-    everything = run_trials_multi(m, protocol, {**policies, **sweep_policies})
+    everything = run_trials_multi(m, protocol, {**policies, **sweep})
     aggs = {name: everything[name] for name in policies}
     table = render_method_table(aggs)
     Path(_out(args.out, "table1.txt")).write_text(table)
@@ -358,7 +366,7 @@ def cmd_experiment(args) -> int:
         _write_tables(args.out, agg, f"_{name}")
 
     if not args.no_sweep:
-        cells = {cell: everything[name].median_size for cell, name in sweep_names.items()}
+        cells = {cell: everything[cell].median_size for cell in sweep}
         Path(_out(args.out, "sweep.txt")).write_text(render_sweep(cells, kregs, SWEEP_LAMBDAS))
         Path(_out(args.out, "sweep.csv")).write_text(sweep_csv(cells, kregs, SWEEP_LAMBDAS))
 
@@ -483,8 +491,10 @@ def build_parser():
     p.add_argument("--eval-size", type=_pos_int, required=True)
     p.add_argument("--lambda", dest="penalty", type=_nonneg_float, default=None,
                    help="fix the raps penalty instead of tuning")
-    p.add_argument("--k-reg", type=_pos_int, default=1)
-    p.add_argument("--tune-objective", choices=TUNE_OBJECTIVES, default="size")
+    p.add_argument("--k-reg", type=_pos_int, default=None,
+                   help="penalty-free rank count with --lambda (default 1)")
+    p.add_argument("--tune-objective", choices=TUNE_OBJECTIVES, default=None,
+                   help="what tuning raps minimizes without --lambda (default size)")
     p.add_argument("--lambda-grid", type=_lambda_grid, default=None)
     p.add_argument("--strata", type=_strata, default=None)
     p.add_argument("--platt-split", choices=("calibration", "tuning"), default="calibration")

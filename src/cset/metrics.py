@@ -75,14 +75,10 @@ def default_difficulty_bins(n_classes: int) -> tuple:
     return _clip_bins(DIFFICULTY_BINS, n_classes)
 
 
-def _set_classes(s):
-    # PredictionSet or any collection of class indices
-    return s.classes if hasattr(s, "classes") else s
-
-
 def _sets_to_arrays(sets, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels)
-    sets = [_set_classes(s) for s in sets]
+    # a PredictionSet or any collection of class indices
+    sets = [s.classes if hasattr(s, "classes") else s for s in sets]
     if len(sets) != len(labels):
         raise DataError(f"{len(sets)} sets but {len(labels)} labels")
     sizes = np.array([len(s) for s in sets], dtype=np.int64)

@@ -45,7 +45,7 @@ def render_method_table(aggs: dict[str, TrialAggregate]) -> str:
     first = aggs[methods[0]]
     header = ["", "top-1", "top-5"]
     header += [f"cvg_{m}" for m in methods] + [f"sz_{m}" for m in methods]
-    row = ["scores", _f(first.median_top1), _f(first.median_top5)]
+    row = ["scores", _f(float(np.median(first.top1))), _f(float(np.median(first.top5)))]
     row += [_f(aggs[m].median_coverage) for m in methods]
     row += [_f(aggs[m].median_size, 2) for m in methods]
     return _text_table(header, [row])
@@ -61,8 +61,8 @@ def summary_csv(aggs: dict[str, TrialAggregate]) -> str:
                     _r(agg.median_coverage),
                     _r(agg.median_size),
                     _r(agg.median_sscv),
-                    _r(agg.median_top1),
-                    _r(agg.median_top5),
+                    _r(float(np.median(agg.top1))),
+                    _r(float(np.median(agg.top5))),
                     _r(float(np.median(agg.penalties))),
                     _r(float(np.median(agg.kregs))),
                 ]

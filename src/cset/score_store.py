@@ -165,9 +165,8 @@ class SortedScores:
         return self.sorted.shape[1]
 
     def take(self, idx: np.ndarray) -> "SortedScores":
-        return SortedScores(
-            self.sorted[idx].copy(), self.perm[idx].copy(), self.cumsum[idx].copy()
-        )
+        """Row subset in the given order; an index array copies each array once."""
+        return SortedScores(self.sorted[idx], self.perm[idx], self.cumsum[idx])
 
     def label_ranks(self, labels: np.ndarray) -> np.ndarray:
         """1-based rank of each row's label in that row's sorted order.

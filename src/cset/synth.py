@@ -57,6 +57,8 @@ class SynthSpec:
             raise ValueError(f"concentration must be positive, got {self.concentration}")
         if self.corruption not in CORRUPTIONS:
             raise ValueError(f"unknown corruption {self.corruption!r}")
+        if self.corruption == "none" and self.corruption_param != 0:
+            raise ValueError("a corruption parameter needs a corruption other than none")
         if self.corruption == "temperature" and self.corruption_param <= 0:
             raise ValueError("temperature corruption needs t > 0")
         if self.corruption == "tail_permute":

@@ -16,6 +16,8 @@ means), which keeps a single weird split from dominating the summary.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,14 +97,6 @@ class TrialAggregate:
     def median_sscv(self) -> float:
         return float(np.median(self.sscv))
 
-    @property
-    def median_top1(self) -> float:
-        return float(np.median(self.top1))
-
-    @property
-    def median_top5(self) -> float:
-        return float(np.median(self.top5))
-
 
 def _median(values) -> float | None:
     """Median of the trials whose row was nonempty; None if none was."""
@@ -114,10 +108,7 @@ def _aggregate(results: list[tuple[EvalReport, MethodSpec]]) -> TrialAggregate:
     """Pool one method's trials. Every trial of a run measures the same strata
     and difficulty bins in the same order, so their rows pool by position."""
     reports = [report for report, _ in results]
-    hist: dict[int, int] = {}
-    for r in reports:
-        for s, c in r.size_hist.items():
-            hist[s] = hist.get(s, 0) + c
+    hist = sum((Counter(r.size_hist) for r in reports), Counter())
     per_stratum = tuple(
         StratumRow(rows[0].lo, rows[0].hi, sum(row.count for row in rows),
                    _median(row.coverage for row in rows))
@@ -149,8 +140,8 @@ def _aggregate(results: list[tuple[EvalReport, MethodSpec]]) -> TrialAggregate:
 
 
 def _run_trial(
-    draw, trial_seed: int, protocol: TrialProtocol, policies: dict[str, MethodPolicy]
-) -> dict[str, tuple[EvalReport, MethodSpec]]:
+    draw, trial_seed: int, protocol: TrialProtocol, policies: dict[Hashable, MethodPolicy]
+) -> dict[Hashable, tuple[EvalReport, MethodSpec]]:
     """Draw one trial's splits, fit every policy, and measure every model.
 
     In the protocol's order: fit the temperature on the platt_split split
@@ -195,9 +186,9 @@ def _run_trial(
 
 
 def _run_trials(draw, protocol: TrialProtocol,
-                policies: dict[str, MethodPolicy]) -> dict[str, TrialAggregate]:
+                policies: dict[Hashable, MethodPolicy]) -> dict[Hashable, TrialAggregate]:
     """The trial loop; draw(trial_seed) gives (tuning, calibration, evaluation)."""
-    results: dict[str, list] = {name: [] for name in policies}
+    results: dict[Hashable, list] = {name: [] for name in policies}
     for t in range(protocol.n_trials):
         trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
         for name, measured in _run_trial(draw, trial_seed, protocol, policies).items():
@@ -206,8 +197,8 @@ def _run_trials(draw, protocol: TrialProtocol,
 
 
 def run_trials_multi(
-    m: ScoreMatrix, protocol: TrialProtocol, policies: dict[str, MethodPolicy]
-) -> dict[str, TrialAggregate]:
+    m: ScoreMatrix, protocol: TrialProtocol, policies: dict[Hashable, MethodPolicy]
+) -> dict[Hashable, TrialAggregate]:
     """Random re-splits of one fixed matrix; methods share each trial's data."""
 
     def draw(trial_seed: int):

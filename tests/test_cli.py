@@ -623,3 +623,48 @@ def test_predict_refuses_a_model_file_with_an_unknown_key(four_row_file, tmp_pat
     assert code == 1
     assert "unknown model field 'temperature'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, says", [
+    (["--methods", "aps,lac", "--lambda", "0.5", "--k-reg", "3"], "--lambda, --k-reg would"),
+    (["--methods", "aps,lac", "--lambda", "0.5"], "--lambda would"),
+    (["--methods", "aps,lac", "--tune-objective", "adaptiveness"], "--tune-objective would"),
+    (["--methods", "aps,lac", "--lambda-grid", "0.1,0.2"], "--lambda-grid would"),
+    (["--methods", "raps", "--lambda", "0.5", "--tune-objective", "size"], "--tune-objective"),
+    (["--methods", "raps", "--lambda", "0.5", "--lambda-grid", "0.1,0.2"], "--lambda-grid"),
+    (["--methods", "raps", "--k-reg", "3"], "--k-reg would"),
+    (["--corruption-param", "7"], "corruption parameter needs a corruption"),
+])
+def test_experiment_refuses_flags_that_reach_no_model_before_any_data(
+        tmp_path, capsys, monkeypatch, flags, says):
+    def no_data(*_):
+        raise AssertionError("data generated before the flags were checked")
+
+    monkeypatch.setattr("cset.cli.generate", no_data)
+    out = tmp_path / "x"
+    code = run(["experiment", "--k", "6", "--trials", "1", "--tune-size", "40",
+                "--cal-size", "50", "--eval-size", "50", "--no-sweep", *flags,
+                "--out", str(out)])
+    assert code == 2
+    assert says in capsys.readouterr().err
+    assert not (out / "summary.csv").exists() and not (out / "config_used.json").exists()
+
+
+def test_synth_refuses_a_corruption_param_without_a_corruption(tmp_path, capsys):
+    out = tmp_path / "d"
+    code = run(["synth", "--n", "600", "--k", "20", "--corruption-param", "7", "--out", str(out)])
+    assert code == 2
+    assert "corruption parameter needs a corruption" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_echoes_only_the_raps_flags_given(tmp_path):
+    out = tmp_path / "x"
+    assert run(["experiment", "--k", "6", "--trials", "1", "--cal-size", "50",
+                "--eval-size", "50", "--methods", "aps,raps", "--lambda", "0.5",
+                "--no-sweep", "--out", str(out)]) == 0
+    echoed = json.loads((out / "config_used.json").read_text())
+    assert echoed["penalty"] == 0.5
+    assert "k_reg" not in echoed and "tune_objective" not in echoed
+    rows = dict(line.split(",", 1) for line in (out / "summary.csv").read_text().splitlines())
+    assert rows["raps"].endswith(",0.5,1.0") and rows["aps"].endswith(",0.0,1.0")

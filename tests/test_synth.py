@@ -163,3 +163,8 @@ def test_generate_matches_the_public_constructor_bit_for_bit(corruption, param):
         assert not m.scores.flags.writeable and not m.labels.flags.writeable
     if corruption == "none":
         assert observed.scores is truth.scores
+
+
+def test_corruption_param_needs_a_corruption():
+    with pytest.raises(ValueError, match="needs a corruption"):
+        SynthSpec(n=5, n_classes=3, corruption_param=2.0)
