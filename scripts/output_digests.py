@@ -1,0 +1,124 @@
+"""Print the sha256 of every file a fixed set of CLI runs writes.
+
+The runs go through `cset.cli.main` in one process, inside a temporary
+directory and with relative paths, so the listing depends only on the code
+under test. Every command is covered: `synth`, `ingest`, `fit-temp`,
+`calibrate` for each method (randomized, deterministic, boundary-inclusive
+and on logits), `predict` on binary and CSV input, `evaluate` with and
+without `--strata`, `tune` with both objectives and four `experiment`
+variants. To check that a change
+keeps every output byte, run it against each checkout and diff the two
+listings:
+
+    PYTHONPATH=<checkout>/src python3 scripts/output_digests.py > <listing>
+
+It takes no options.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import cset
+from cset import cli
+
+METHOD_FLAGS = {
+    "naive": [],
+    "aps": [],
+    "raps": ["--lambda", "0.01", "--k-reg", "3"],
+    "lac": [],
+    "fixed_k": [],
+}
+SMALL_EXPERIMENT = ["experiment", "--k", "50", "--trials", "4", "--cal-size", "500",
+                    "--eval-size", "1000"]
+
+
+def flows():
+    """The argv of each run, in order; later runs read what earlier ones wrote."""
+    yield ["synth", "--n", "3000", "--k", "50", "--corruption", "tail_permute",
+           "--corruption-param", "5", "--seed", "1", "--out", "cal"]
+    yield ["synth", "--n", "2000", "--k", "50", "--seed", "2", "--out", "new"]
+    yield ["ingest", "--input", "ties.bin", "--to", "csv", "--out", "ties_csv"]
+    yield ["fit-temp", "--input", "logits.bin", "--out", "temp"]
+    for method, flags in METHOD_FLAGS.items():
+        for data in ("cal", "ties"):
+            src = "cal/observed.bin" if data == "cal" else "ties.bin"
+            base = ["calibrate", "--input", src, "--method", method, *flags]
+            yield [*base, "--seed", "4", "--out", f"{data}_{method}"]
+            yield [*base, "--deterministic", "--out", f"{data}_{method}_det"]
+    for method in ("aps", "raps"):
+        yield ["calibrate", "--input", "cal/observed.bin", "--method", method,
+               "--deterministic", "--boundary-inclusive", "--out", f"cal_{method}_incl"]
+    yield ["calibrate", "--input", "logits.bin", "--method", "raps", "--lambda", "0.1",
+           "--temperature", "1.5", "--out", "logits_raps"]
+    for model in [f"cal_{m}" for m in METHOD_FLAGS] + ["cal_raps_det", "cal_raps_incl"]:
+        yield ["predict", "--model", f"{model}/model.txt", "--input", "new/observed.bin",
+               "--seed", "3", "--out", f"pred_{model}"]
+    for method in METHOD_FLAGS:
+        yield ["predict", "--model", f"ties_{method}/model.txt", "--input", "ties.bin",
+               "--out", f"pred_ties_{method}"]
+    yield ["predict", "--model", "ties_raps/model.txt", "--input", "ties_csv/scores.csv",
+           "--out", "pred_ties_csv"]
+    yield ["predict", "--model", "logits_raps/model.txt", "--input", "logits.bin",
+           "--temperature", "1.5", "--out", "pred_logits"]
+    yield ["evaluate", "--model", "cal_raps/model.txt", "--input", "new/observed.bin",
+           "--out", "eval"]
+    yield ["evaluate", "--model", "ties_aps_det/model.txt", "--input", "ties.bin",
+           "--strata", "0-1,2-3,4-20", "--out", "eval_strata"]
+    yield ["tune", "--input", "cal/observed.bin", "--out", "tune_size"]
+    yield ["tune", "--input", "cal/observed.bin", "--tune-objective", "adaptiveness",
+           "--strata", "0-1,2-5,6-50", "--out", "tune_adapt"]
+    yield [*SMALL_EXPERIMENT, "--tune-size", "300", "--seed", "5", "--out", "exp"]
+    yield [*SMALL_EXPERIMENT, "--lambda", "0.05", "--k-reg", "2", "--no-sweep", "--out",
+           "exp_fixed"]
+    yield [*SMALL_EXPERIMENT, "--tune-size", "300", "--tune-objective", "adaptiveness",
+           "--strata", "0-1,2-4,5-50", "--deterministic", "--no-sweep", "--out", "exp_adapt"]
+    yield ["experiment", "--input", "logits.bin", "--methods", "aps,raps,lac",
+           "--trials", "3", "--tune-size", "400", "--cal-size", "600", "--eval-size", "800",
+           "--platt-split", "tuning", "--no-sweep", "--out", "exp_logits"]
+
+
+def write_inputs() -> None:
+    """A fixed 2000 x 20 logit file whose labels follow the logits, and a
+    1500 x 20 probability file whose rows are thick with exact ties."""
+    g = np.random.default_rng(0)
+    z = 2.0 * g.normal(size=(2000, 20))
+    labels = np.argmax(z + g.gumbel(size=z.shape), axis=1)
+    cset.save_scores(cset.ScoreMatrix(z, labels, "logits"), "logits.bin", "binary")
+    counts = g.integers(0, 4, size=(1500, 20)) * (g.random((1500, 20)) < 0.4)
+    counts[:, 0] += 1
+    labels = np.argmax(counts + g.random(counts.shape), axis=1)
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    cset.save_scores(cset.ScoreMatrix(probs, labels, "probabilities"), "ties.bin", "binary")
+
+
+def run(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"cset {' '.join(argv)} exited {code}:\n{err.getvalue()}")
+
+
+def main() -> None:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_inputs()
+            for argv in flows():
+                run(argv)
+            for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

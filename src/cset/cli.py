@@ -237,6 +237,8 @@ def cmd_calibrate(args) -> int:
         randomized=not args.deterministic,
         boundary_inclusive=args.boundary_inclusive,
     )
+    if spec.kreg != 1 and spec.method != "raps":
+        raise ValueError(f"--k-reg is a raps knob, not valid for {spec.method}")
     m, ss = _load_sorted(args)
     model = fit_model(ss, m.labels, spec, args.seed)
     path = _out(args.out, "model.txt")

@@ -3,8 +3,8 @@
 Methods
 -------
 naive
-    Shortest prefix of the sorted row whose mass reaches 1 - alpha, with a
-    randomized removal of the boundary class. No calibration step.
+    Shortest prefix of the sorted row whose mass reaches tau_hat = 1 - alpha,
+    with a randomized removal of the boundary class. No calibration step.
 aps
     Cumulative-mass conformity score, calibrated threshold. Identical to
     raps with zero penalty, enforced by construction.
@@ -98,6 +98,8 @@ class ConformalModel:
                 raise ValueError(f"k_star {self.k_star} out of range [1, {self.n_classes}]")
             if not 0.0 <= self.mix_prob <= 1.0:
                 raise ValueError(f"mix_prob must be in [0, 1], got {self.mix_prob}")
+        elif self.k_star is not None or self.mix_prob is not None:
+            raise ValueError(f"k_star and mix_prob apply to fixed_k only, not {self.spec.method}")
 
 
 @dataclass(frozen=True)
@@ -161,12 +163,9 @@ def conformity_score(ss: SortedScores, row: int, rank: int, u: float, spec: Meth
     k = ss.n_classes
     if not 1 <= rank <= k:
         raise ValueError(f"rank {rank} out of range [1, {k}]")
-    s = ss.sorted[row, rank - 1]
-    if spec.method == "lac":
-        return float(1.0 - s)
-    rho = ss.cumsum[row, rank - 2] if rank >= 2 else 0.0
-    pen = spec.penalty * max(rank - spec.kreg, 0)
-    return float(rho + u * s + pen)
+    srt, cumsum = ss.sorted[[row]], ss.cumsum[[row]]
+    base = _score_base(srt, cumsum, spec.method, u, np.empty_like(srt))
+    return float(_add_penalty(base, _penalty_vector(k, spec), base)[0, rank - 1])
 
 
 def _score_base(srt: np.ndarray, cumsum: np.ndarray, method: str, u, out: np.ndarray) -> np.ndarray:
@@ -202,8 +201,9 @@ def calibration_scores(
     if spec.method == "lac":
         return 1.0 - s
     rho = np.where(idx > 0, ss.cumsum[rows, np.maximum(idx - 1, 0)], 0.0)
-    pen = spec.penalty * np.maximum(ranks - spec.kreg, 0)
-    return rho + np.asarray(u, dtype=np.float64) * s + pen
+    scores = rho + np.asarray(u, dtype=np.float64) * s
+    pen = _penalty_vector(ss.n_classes, spec)
+    return scores if pen is None else scores + pen[idx]
 
 
 def calibrate(ss: SortedScores, labels: np.ndarray, spec: MethodSpec, seed: int = 0) -> ConformalModel:
@@ -236,18 +236,17 @@ def naive_model(alpha: float, n_classes: int, randomized: bool = True) -> Confor
     return ConformalModel(spec, 1.0 - alpha, 0, 0, n_classes)
 
 
-def _naive_sizes(srt: np.ndarray, cumsum: np.ndarray, spec: MethodSpec, u) -> np.ndarray:
-    target = 1.0 - spec.alpha
+def _naive_sizes(srt: np.ndarray, cumsum: np.ndarray, tau: float, randomized: bool, u) -> np.ndarray:
     n, k = srt.shape
-    first = (cumsum < target).sum(axis=1)
+    first = (cumsum < tau).sum(axis=1)
     first = np.minimum(first, k - 1)  # float shortfall guard: cap at the last rank
     rows = np.arange(n)
     sizes = first + 1
-    if spec.randomized:
+    if randomized:
         mass = cumsum[rows, first]
         s_last = srt[rows, first]
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(s_last > 0, (mass - target) / s_last, 0.0)
+            v = np.where(s_last > 0, (mass - tau) / s_last, 0.0)
         drop = np.asarray(u, dtype=np.float64) <= v
         sizes = sizes - drop.astype(np.int64)
     return sizes
@@ -314,7 +313,7 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
         for model, sizes, pen in scored:
             spec = model.spec
             if spec.method == "naive":
-                sizes[lo:hi] = _naive_sizes(srt, cumsum, spec, u_block)
+                sizes[lo:hi] = _naive_sizes(srt, cumsum, model.tau_hat, spec.randomized, u_block)
                 continue
             mode = "lac" if spec.method == "lac" else "u" if spec.randomized else "one"
             if mode not in bases:
@@ -366,17 +365,12 @@ def set_size_given_u(model: ConformalModel, ss: SortedScores, row: int) -> tuple
     of u and the inclusion probability v of the boundary class, so
     E[size] = v * size_at_u0 + (1 - v) * size_at_u1 without sampling.
     The two sizes differ by at most one; v = 1 when u does not matter.
-    naive is evaluated in the same score form, with threshold 1 - alpha.
+    naive is evaluated in the aps score form, at its threshold tau_hat.
     """
-    spec = model.spec
+    spec, tau = model.spec, model.tau_hat
     if spec.method == "fixed_k":
         raise ValueError("set_size_given_u does not apply to fixed_k")
     one = ss.take(np.array([row]))
-    if spec.method == "naive":
-        spec = MethodSpec("aps", spec.alpha, randomized=spec.randomized)
-        tau = 1.0 - spec.alpha
-    else:
-        tau = model.tau_hat
     pen = _penalty_vector(one.n_classes, spec)
 
     def scores(at: float) -> np.ndarray:
@@ -397,52 +391,51 @@ def set_size_given_u(model: ConformalModel, ss: SortedScores, row: int) -> tuple
 # --- model files ----------------------------------------------------------
 
 _BOOLS = {"true": True, "false": False}
-_MODEL_KEYS = ("method", "alpha", "lambda", "k_reg", "randomized", "boundary_inclusive",
-               "tau_hat", "n_cal", "seed", "n_classes", "k_star", "mix_prob")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return "inf" if math.isinf(v) else repr(v)
-    return str(v)
+def _flag(text: str) -> bool:
+    if text not in _BOOLS:
+        raise ValueError(f"must be true or false, got {text!r}")
+    return _BOOLS[text]
+
+
+def _fmt(val) -> str:
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    return str(val)
+
+
+# File key -> (MethodSpec or ConformalModel attribute, parser), in file order.
+_MODEL_FIELDS = {
+    "method": ("method", str),
+    "alpha": ("alpha", float),
+    "lambda": ("penalty", float),
+    "k_reg": ("kreg", int),
+    "randomized": ("randomized", _flag),
+    "boundary_inclusive": ("boundary_inclusive", _flag),
+    "tau_hat": ("tau_hat", float),
+    "n_cal": ("n_cal", int),
+    "seed": ("seed", int),
+    "n_classes": ("n_classes", int),
+    "k_star": ("k_star", int),
+    "mix_prob": ("mix_prob", float),
+}
+# Keys a file may leave out; their attributes then keep the dataclass default.
+_OPTIONAL_FIELDS = ("boundary_inclusive", "k_star", "mix_prob")
 
 
 def save_model(model: ConformalModel, path: str) -> None:
-    """Write a model as `key = value` lines; round-trips exactly."""
-    spec = model.spec
-    lines = [
-        ("method", spec.method),
-        ("alpha", spec.alpha),
-        ("lambda", spec.penalty),
-        ("k_reg", spec.kreg),
-        ("randomized", spec.randomized),
-        ("boundary_inclusive", spec.boundary_inclusive),
-        ("tau_hat", model.tau_hat),
-        ("n_cal", model.n_cal),
-        ("seed", model.seed),
-        ("n_classes", model.n_classes),
-    ]
-    if model.k_star is not None:
-        lines.append(("k_star", model.k_star))
-    if model.mix_prob is not None:
-        lines.append(("mix_prob", model.mix_prob))
+    """Write a model as `key = value` lines, skipping fields that are None; round-trips exactly."""
     with open(path, "w") as fh:
-        for key, val in lines:
-            fh.write(f"{key} = {_fmt(val)}\n")
-
-
-def _load_flag(fields: dict, key: str, default: str | None = None) -> bool:
-    val = fields[key] if default is None else fields.get(key, default)
-    if val not in _BOOLS:
-        raise ValueError(f"{key} must be true or false, got {val!r}")
-    return _BOOLS[val]
+        for key, (attr, _) in _MODEL_FIELDS.items():
+            val = getattr(model.spec if attr in MethodSpec.__dataclass_fields__ else model, attr)
+            if val is not None:
+                fh.write(f"{key} = {_fmt(val)}\n")
 
 
 def load_model(path: str) -> ConformalModel:
-    """Read a model written by save_model; any malformed, unknown or repeated
-    field is a DataError."""
+    """Read a model written by save_model; any malformed, unknown, repeated,
+    missing or bad field is a DataError."""
     fields: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -453,31 +446,24 @@ def load_model(path: str) -> ConformalModel:
                 raise DataError(f"{path}: malformed model line {line!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _MODEL_KEYS:
+            if key not in _MODEL_FIELDS:
                 raise DataError(f"{path}: unknown model field {key!r}")
             if key in fields:
                 raise DataError(f"{path}: repeated model field {key!r}")
             fields[key] = val.strip()
+    spec_args, model_args = {}, {}
+    for key, (attr, parse) in _MODEL_FIELDS.items():
+        if key not in fields:
+            if key in _OPTIONAL_FIELDS:
+                continue
+            raise DataError(f"{path}: missing model field {key!r}")
+        args = spec_args if attr in MethodSpec.__dataclass_fields__ else model_args
+        try:
+            args[attr] = parse(fields[key])
+        except ValueError as exc:
+            raise DataError(f"{path}: bad model field {key!r} ({exc})") from None
     try:
-        spec = MethodSpec(
-            method=fields["method"],
-            alpha=float(fields["alpha"]),
-            penalty=float(fields["lambda"]),
-            kreg=int(fields["k_reg"]),
-            randomized=_load_flag(fields, "randomized"),
-            boundary_inclusive=_load_flag(fields, "boundary_inclusive", "false"),
-        )
-        return ConformalModel(
-            spec=spec,
-            tau_hat=float(fields["tau_hat"]),
-            n_cal=int(fields["n_cal"]),
-            seed=int(fields["seed"]),
-            n_classes=int(fields["n_classes"]),
-            k_star=int(fields["k_star"]) if "k_star" in fields else None,
-            mix_prob=float(fields["mix_prob"]) if "mix_prob" in fields else None,
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: missing model field {exc}") from None
+        return ConformalModel(MethodSpec(**spec_args), **model_args)
     except ValueError as exc:
         raise DataError(f"{path}: bad model field ({exc})") from None
 

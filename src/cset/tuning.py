@@ -17,8 +17,8 @@ from .conformal import (
     ConformalModel,
     MethodSpec,
     calibrate,
+    conformal_quantile,
     naive_model,
-    order_stat_index,
     set_sizes,
 )
 from .metrics import default_strata, sscv_from_arrays
@@ -47,11 +47,8 @@ def fixed_k_star(ss: SortedScores, labels: np.ndarray, alpha: float) -> int:
     Equals the ceil((n+1)(1-alpha))-th smallest true-label rank, or K when
     that index runs past the sample.
     """
-    ranks = ss.label_ranks(labels)
-    k = order_stat_index(ss.n, alpha)
-    if k > ss.n:
-        return ss.n_classes
-    return int(np.partition(ranks, k - 1)[k - 1])
+    k = conformal_quantile(ss.label_ranks(labels), alpha)
+    return ss.n_classes if k == math.inf else int(k)
 
 
 def make_fixed_k_model(

@@ -668,3 +668,34 @@ def test_experiment_echoes_only_the_raps_flags_given(tmp_path):
     assert "k_reg" not in echoed and "tune_objective" not in echoed
     rows = dict(line.split(",", 1) for line in (out / "summary.csv").read_text().splitlines())
     assert rows["raps"].endswith(",0.5,1.0") and rows["aps"].endswith(",0.0,1.0")
+
+
+@pytest.mark.parametrize("method", ["naive", "aps", "lac", "fixed_k"])
+def test_calibrate_refuses_k_reg_without_raps(four_row_file, tmp_path, capsys, method):
+    out = tmp_path / "x"
+    code = run(["calibrate", "--input", four_row_file, "--method", method, "--k-reg", "3",
+                "--out", str(out)])
+    assert code == 2
+    assert "--k-reg is a raps knob" in capsys.readouterr().err
+    assert not out.exists()
+    # raps takes it, and the other methods take the default spelled out
+    assert run(["calibrate", "--input", four_row_file, "--method", "raps", "--k-reg", "3",
+                "--out", str(tmp_path / "raps")]) == 0
+    assert run(["calibrate", "--input", four_row_file, "--method", method, "--k-reg", "1",
+                "--out", str(tmp_path / "one")]) == 0
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_model_file_with_fixed_k_fields_on_another_method_is_data_error(tmp_path, capsys,
+                                                                        command):
+    model = ConformalModel(MethodSpec("aps", 0.1), 0.85, 10, 0, 3)
+    path = tmp_path / "model.txt"
+    cset.save_model(model, str(path))
+    path.write_text(path.read_text() + "k_star = 2\nmix_prob = 0.5\n")
+    (tmp_path / "eval.csv").write_text("scores,K=3\n0.5,0.3,0.2,0\n0.3,0.4,0.3,1\n")
+    out = tmp_path / "out"
+    code = run([command, "--model", str(path), "--input", str(tmp_path / "eval.csv"),
+                "--out", str(out)])
+    assert code == 1
+    assert "k_star and mix_prob apply to fixed_k only" in capsys.readouterr().err
+    assert not out.exists()

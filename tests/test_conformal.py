@@ -608,3 +608,110 @@ def test_every_saved_model_loads_back(tmp_path, method):
                 model = fit_model(ss, m.labels, spec, seed=4)
                 cset.save_model(model, path)
                 assert cset.load_model(path) == model
+
+
+# ------------------------------------------- one rule per score and threshold
+
+
+@pytest.mark.parametrize("shape", SIZE_ROW_SHAPES)
+@pytest.mark.parametrize("randomized", [True, False], ids=["randomized", "deterministic"])
+@pytest.mark.parametrize("spec_args", [
+    ("aps", 0.0, 1), ("raps", 0.3, 2), ("raps", 0.0, 1), ("lac", 0.0, 1),
+], ids=["aps", "raps", "raps_no_penalty", "lac"])
+def test_calibration_scores_equal_conformity_score_bit_for_bit(shape, randomized, spec_args):
+    method, penalty, kreg = spec_args
+    ss, u = _size_rows(shape, 60, 7, seed=12)
+    labels = ss.perm[np.arange(ss.n), np.random.default_rng(5).integers(0, 7, ss.n)]
+    spec = MethodSpec(method, 0.1, penalty=penalty, kreg=kreg, randomized=randomized)
+    u_rows = u if randomized and method != "lac" else np.ones(ss.n)
+    got = calibration_scores(ss, labels, spec, u_rows)
+    ranks = ss.label_ranks(labels)
+    want = [conformity_score(ss, i, int(ranks[i]), float(u_rows[i]), spec) for i in range(ss.n)]
+    np.testing.assert_array_equal(got, want)
+    if not randomized:
+        # a threshold at row i's own score keeps row i's label in its set
+        for i in range(ss.n):
+            model = ConformalModel(spec, float(got[i]), ss.n, 0, 7)
+            assert set_sizes(model, ss.take(np.array([i])))[0] >= ranks[i]
+
+
+def test_thresholds_never_grow_with_alpha():
+    m = dirichlet_matrix(400, 12, seed=21)
+    ss = sort_scores(m, seed=0)
+    alphas = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8)
+    for method, penalty in (("aps", 0.0), ("raps", 0.05), ("lac", 0.0)):
+        for randomized in (True, False):
+            specs = [MethodSpec(method, a, penalty=penalty, kreg=2, randomized=randomized)
+                     for a in alphas]
+            taus = [calibrate(ss, m.labels, spec, seed=3).tau_hat for spec in specs]
+            assert all(b <= a for a, b in zip(taus, taus[1:])), (method, randomized, taus)
+    ks = [cset.fixed_k_star(ss, m.labels, a) for a in alphas]
+    assert all(b <= a for a, b in zip(ks, ks[1:])), ks
+
+
+MODEL_FILES = {
+    "naive": (naive_model(0.1, 5),
+              "method = naive\nalpha = 0.1\nlambda = 0.0\nk_reg = 1\nrandomized = true\n"
+              "boundary_inclusive = false\ntau_hat = 0.9\nn_cal = 0\nseed = 0\nn_classes = 5\n"),
+    "aps": (ConformalModel(MethodSpec("aps", 0.05, randomized=False, boundary_inclusive=True),
+                           math.inf, 4, 7, 3),
+            "method = aps\nalpha = 0.05\nlambda = 0.0\nk_reg = 1\nrandomized = false\n"
+            "boundary_inclusive = true\ntau_hat = inf\nn_cal = 4\nseed = 7\nn_classes = 3\n"),
+    "raps": (ConformalModel(MethodSpec("raps", 0.1, penalty=0.01, kreg=3), 1.0123456789012346,
+                            500, 11, 100),
+             "method = raps\nalpha = 0.1\nlambda = 0.01\nk_reg = 3\nrandomized = true\n"
+             "boundary_inclusive = false\ntau_hat = 1.0123456789012346\nn_cal = 500\n"
+             "seed = 11\nn_classes = 100\n"),
+    "lac": (ConformalModel(MethodSpec("lac", 0.2, randomized=False), 0.1 + 0.2, 30, 0, 4),
+            "method = lac\nalpha = 0.2\nlambda = 0.0\nk_reg = 1\nrandomized = false\n"
+            "boundary_inclusive = false\ntau_hat = 0.30000000000000004\nn_cal = 30\nseed = 0\n"
+            "n_classes = 4\n"),
+    "fixed_k": (ConformalModel(MethodSpec("fixed_k", 0.1), math.inf, 20, 3, 9,
+                               k_star=2, mix_prob=0.25),
+                "method = fixed_k\nalpha = 0.1\nlambda = 0.0\nk_reg = 1\nrandomized = true\n"
+                "boundary_inclusive = false\ntau_hat = inf\nn_cal = 20\nseed = 3\n"
+                "n_classes = 9\nk_star = 2\nmix_prob = 0.25\n"),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_model_file_bytes(tmp_path, method):
+    model, text = MODEL_FILES[method]
+    path = tmp_path / "model.txt"
+    cset.save_model(model, str(path))
+    assert path.read_bytes() == text.encode()
+    assert cset.load_model(str(path)) == model
+
+
+def test_naive_sets_are_sized_at_its_tau_hat():
+    ss, u = _size_rows("tie_free", 200, 8, seed=4)
+    for randomized in (True, False):
+        at_half = naive_model(0.5, 8, randomized)
+        hand = ConformalModel(MethodSpec("naive", 0.1, randomized=randomized), 0.5, 0, 0, 8)
+        np.testing.assert_array_equal(set_sizes(hand, ss, u), set_sizes(at_half, ss, u))
+        assert not np.array_equal(set_sizes(hand, ss, u),
+                                  set_sizes(naive_model(0.1, 8, randomized), ss, u))
+        for row in range(20):
+            assert set_size_given_u(hand, ss, row) == set_size_given_u(at_half, ss, row)
+
+
+@pytest.mark.parametrize("method", ["naive", "aps", "raps", "lac"])
+def test_k_star_and_mix_prob_belong_to_fixed_k(tmp_path, method):
+    spec = MethodSpec(method, 0.1)
+    for extra in ({"k_star": 2}, {"mix_prob": 0.5}, {"k_star": 2, "mix_prob": 0.5}):
+        with pytest.raises(ValueError, match="fixed_k only"):
+            ConformalModel(spec, 0.5, 10, 0, 3, **extra)
+    path = tmp_path / "model.txt"
+    path.write_text(_model_text(method=method) + "k_star = 2\nmix_prob = 0.5\n")
+    with pytest.raises(DataError, match="fixed_k only"):
+        cset.load_model(str(path))
+
+
+def test_model_file_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    spec = MethodSpec("fixed_k", 0.1)
+    model = ConformalModel(spec, np.float64(0.5), np.int64(20), 3, 9, k_star=np.int64(2),
+                           mix_prob=np.float64(0.25))
+    path = tmp_path / "model.txt"
+    cset.save_model(model, str(path))
+    assert "tau_hat = 0.5\n" in path.read_text() and "mix_prob = 0.25\n" in path.read_text()
+    assert cset.load_model(str(path)) == model
