@@ -213,6 +213,8 @@ def cmd_fit_temp(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.strata is not None and args.tune_objective != "adaptiveness":
+        raise ValueError("--strata applies only to --tune-objective adaptiveness")
     m, ss = _load_sorted(args)
     res = tune(ss, m.labels, args.alpha, args.tune_objective, args.lambda_grid,
                args.seed, args.strata)
@@ -239,6 +241,8 @@ def cmd_calibrate(args) -> int:
     )
     if spec.kreg != 1 and spec.method != "raps":
         raise ValueError(f"--k-reg is a raps knob, not valid for {spec.method}")
+    if spec.boundary_inclusive and (spec.randomized or spec.method not in ("aps", "raps")):
+        raise ValueError("--boundary-inclusive needs --deterministic with aps or raps")
     m, ss = _load_sorted(args)
     model = fit_model(ss, m.labels, spec, args.seed)
     path = _out(args.out, "model.txt")
@@ -456,7 +460,7 @@ def build_parser():
                    help="raps rank penalty")
     p.add_argument("--k-reg", type=_pos_int, default=1, help="penalty-free rank count")
     p.add_argument("--boundary-inclusive", action="store_true",
-                   help="deterministic sets also include the first class past the threshold")
+                   help="with --deterministic aps/raps, also keep the first class past the threshold")
     p.add_argument("--temperature", type=_pos_float, default=None)
     _add_common_model_flags(p)
     _add_out(p)

@@ -236,20 +236,23 @@ def naive_model(alpha: float, n_classes: int, randomized: bool = True) -> Confor
     return ConformalModel(spec, 1.0 - alpha, 0, 0, n_classes)
 
 
-def _naive_sizes(srt: np.ndarray, cumsum: np.ndarray, tau: float, randomized: bool, u) -> np.ndarray:
+def _naive_cut(srt: np.ndarray, cumsum: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's shortest prefix whose mass reaches tau, as a size, and the v
+    at or under which a randomized u drops that prefix's last class."""
     n, k = srt.shape
     first = (cumsum < tau).sum(axis=1)
     first = np.minimum(first, k - 1)  # float shortfall guard: cap at the last rank
     rows = np.arange(n)
-    sizes = first + 1
-    if randomized:
-        mass = cumsum[rows, first]
-        s_last = srt[rows, first]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(s_last > 0, (mass - tau) / s_last, 0.0)
-        drop = np.asarray(u, dtype=np.float64) <= v
-        sizes = sizes - drop.astype(np.int64)
-    return sizes
+    mass = cumsum[rows, first]
+    s_last = srt[rows, first]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(s_last > 0, (mass - tau) / s_last, 0.0)
+    return first + 1, v
+
+
+def _naive_sizes(srt: np.ndarray, cumsum: np.ndarray, tau: float, randomized: bool, u) -> np.ndarray:
+    sizes, v = _naive_cut(srt, cumsum, tau)
+    return sizes - (np.asarray(u, dtype=np.float64) <= v) if randomized else sizes
 
 
 def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
@@ -260,16 +263,16 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     prefixes of the sorted order, so row i's set under models[j] is
     perm[i, :sizes[j][i]].
 
-    Cost model: the rows are walked in blocks of about _SIZE_BLOCK_CELLS
-    cells. In each block the score base is built once per u-mode, and only
-    if some model needs it: u * sorted plus the mass above each rank for
-    randomized aps/raps, the same at u = 1 for deterministic ones, and
-    1 - sorted for lac. Each model then adds its rank penalty (raps with a
-    nonzero penalty only) into one scratch block and counts the ranks whose
-    score is at most its threshold. So m models cost at most three base
-    passes plus one add and one compare pass per model over the n x K
-    scores, and the extra memory is a few blocks, not n x K. naive and
-    fixed_k need no score matrix.
+    Cost model: the models are grouped once by the score base they read:
+    u * sorted plus the mass above each rank for randomized aps/raps, the
+    same at u = 1 for deterministic ones, 1 - sorted for lac, and naive's
+    own cutoff. The rows are walked in blocks of about _SIZE_BLOCK_CELLS
+    cells; in each block every group builds its base once into one buffer,
+    and each of its models adds its rank penalty (raps with a nonzero
+    penalty only) into one scratch block and counts the ranks whose score
+    is at most its threshold. So m models cost at most three base passes
+    plus one add and one compare pass per model over the n x K scores, and
+    the extra memory is three blocks, not n x K. fixed_k needs no scores.
     """
     models = tuple(models)
     n, k = ss.n, ss.n_classes
@@ -287,46 +290,39 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
                 raise ValueError(f"u must have shape ({n},)")
 
     out = [np.empty(n, dtype=np.int64) for _ in models]
-    scored = []
+    groups: dict[str, list] = {}
     for model, sizes in zip(models, out):
         spec = model.spec
         if spec.method == "fixed_k":
             u_fixed = u_rows if spec.randomized else 1.0
             sizes[:] = np.where(u_fixed <= model.mix_prob, model.k_star - 1, model.k_star)
-        else:
-            scored.append((model, sizes, _penalty_vector(k, spec)))
+            continue
+        mode = spec.method if spec.method in ("lac", "naive") else "u" if spec.randomized else "one"
+        groups.setdefault(mode, []).append((model, sizes, _penalty_vector(k, spec)))
 
     rows = max(1, _SIZE_BLOCK_CELLS // k)
-    buffers: dict[str, np.ndarray] = {}
-
-    def buffer(name: str, used: int, dtype=np.float64) -> np.ndarray:
-        # One block-sized array per name, made on first use, reused after.
-        if name not in buffers:
-            buffers[name] = np.empty((min(rows, n), k), dtype=dtype)
-        return buffers[name][:used]
-
+    base, scratch = np.empty((2, min(rows, n), k))
+    inside = np.empty((min(rows, n), k), dtype=bool)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         srt, cumsum = ss.sorted[lo:hi], ss.cumsum[lo:hi]
         u_block = u_rows[lo:hi] if u_rows is not None else None
-        bases: dict[str, np.ndarray] = {}
-        for model, sizes, pen in scored:
-            spec = model.spec
-            if spec.method == "naive":
-                sizes[lo:hi] = _naive_sizes(srt, cumsum, model.tau_hat, spec.randomized, u_block)
+        for mode, group in groups.items():
+            if mode == "naive":
+                for model, sizes, _ in group:
+                    sizes[lo:hi] = _naive_sizes(srt, cumsum, model.tau_hat,
+                                                model.spec.randomized, u_block)
                 continue
-            mode = "lac" if spec.method == "lac" else "u" if spec.randomized else "one"
-            if mode not in bases:
-                at = u_block[:, None] if mode == "u" else 1.0
-                bases[mode] = _score_base(srt, cumsum, spec.method, at, buffer(mode, hi - lo))
-            scores = _add_penalty(bases[mode], pen, buffer("penalized", hi - lo))
-            inside = np.less_equal(scores, model.tau_hat, out=buffer("inside", hi - lo, bool))
-            # A byte sum into int32 counts about twice as fast as count_nonzero.
-            sizes[lo:hi] = np.add.reduce(inside.view(np.uint8), axis=1, dtype=np.int32)
+            at = u_block[:, None] if mode == "u" else 1.0
+            block = _score_base(srt, cumsum, mode, at, base[:hi - lo])
+            for model, sizes, pen in group:
+                scores = _add_penalty(block, pen, scratch[:hi - lo])
+                mask = np.less_equal(scores, model.tau_hat, out=inside[:hi - lo])
+                # A byte sum into int32 counts about twice as fast as count_nonzero.
+                sizes[lo:hi] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
 
-    for model, sizes, _ in scored:
-        spec = model.spec
-        if spec.boundary_inclusive and not spec.randomized and spec.method in ("aps", "raps"):
+    for model, sizes, _ in groups.get("one", ()):
+        if model.spec.boundary_inclusive:
             np.minimum(sizes + 1, k, out=sizes)
     return out
 
@@ -361,30 +357,33 @@ def predict(model: ConformalModel, ss: SortedScores, row: int, u: float | None =
 def set_size_given_u(model: ConformalModel, ss: SortedScores, row: int) -> tuple[int, int, float]:
     """Closed form of the randomization for one row.
 
-    Returns (size_at_u0, size_at_u1, v): the set sizes at the two extremes
-    of u and the inclusion probability v of the boundary class, so
-    E[size] = v * size_at_u0 + (1 - v) * size_at_u1 without sampling.
-    The two sizes differ by at most one; v = 1 when u does not matter.
-    naive is evaluated in the aps score form, at its threshold tau_hat.
+    Returns (size_at_u0, size_at_u1, v): the sizes set_sizes gives the
+    randomized model at u = 0 and at u = 1, and the probability v of the
+    first, so E[size] = v * size_at_u0 + (1 - v) * size_at_u1 without
+    sampling. The two sizes differ by at most one; v = 1 when u does not
+    matter. aps/raps keep the boundary class when u <= v, so their u = 0
+    set is the larger; naive drops it when u <= v, so its u = 0 set is the
+    smaller.
     """
     spec, tau = model.spec, model.tau_hat
     if spec.method == "fixed_k":
         raise ValueError("set_size_given_u does not apply to fixed_k")
     one = ss.take(np.array([row]))
-    pen = _penalty_vector(one.n_classes, spec)
-
-    def scores(at: float) -> np.ndarray:
-        base = _score_base(one.sorted, one.cumsum, spec.method, at, np.empty_like(one.sorted))
-        return _add_penalty(base, pen, out=base)[0]
-
-    s0, s1 = scores(0.0), scores(1.0)
-    size0 = int((s0 <= tau).sum())
-    size1 = int((s1 <= tau).sum())
+    if spec.method == "naive":
+        size0, size1 = _naive_sizes(one.sorted, one.cumsum, tau, True,
+                                    np.array([0.0, 1.0])).tolist()
+        v = _naive_cut(one.sorted, one.cumsum, tau)[1][0]
+    else:
+        # Row 0 scores the row at u = 0, row 1 at u = 1.
+        base = _score_base(one.sorted, one.cumsum, spec.method, np.array([[0.0], [1.0]]),
+                           np.empty((2, one.n_classes)))
+        scores = _add_penalty(base, _penalty_vector(one.n_classes, spec), base)
+        size0, size1 = (scores <= tau).sum(axis=1).tolist()
+        b = size0 - 1  # 0-based index of the boundary rank
+        s_b = one.sorted[0, b]
+        v = (tau - scores[0, b]) / s_b if s_b > 0 else 1.0
     if size0 == size1:
         return size0, size1, 1.0
-    b = size0 - 1  # 0-based index of the boundary rank
-    s_b = one.sorted[0, b]
-    v = (tau - s0[b]) / s_b if s_b > 0 else 1.0
     return size0, size1, float(min(max(v, 0.0), 1.0))
 
 

@@ -103,28 +103,34 @@ def _validate_strata(strata) -> tuple:
     for lo, hi in strata:
         if lo > hi:
             raise ValueError(f"bad stratum ({lo}, {hi})")
-    for (lo1, hi1) in strata:
-        for (lo2, hi2) in strata:
-            if (lo1, hi1) != (lo2, hi2) and lo1 <= hi2 and lo2 <= hi1:
-                raise ValueError(f"overlapping strata ({lo1},{hi1}) and ({lo2},{hi2})")
+    # Sorted by lo, two ranges overlap only if some neighbours do; a repeat overlaps itself.
+    ordered = sorted(strata)
+    for (lo1, hi1), (lo2, hi2) in zip(ordered, ordered[1:]):
+        if lo2 <= hi1:
+            raise ValueError(f"overlapping strata ({lo1},{hi1}) and ({lo2},{hi2})")
     return strata
+
+
+def _range_totals(keys: np.ndarray, ranges: tuple, *weights) -> tuple:
+    """Index of the disjoint (lo, hi) range holding each row's integer key
+    (len(ranges) if none), and per range the row count and each weight's sum.
+    Keys and weights are integers (bools count 0/1), so every sum is exact
+    and sum / count has the bits of np.mean over the range's rows."""
+    order = np.argsort([lo for lo, _ in ranges])
+    los, his = np.array(ranges).T[:, order]
+    at = np.searchsorted(los, keys, side="right") - 1
+    which = np.where((at >= 0) & (keys <= his[at]), order[at], len(ranges))
+    return which, [np.bincount(which, w, minlength=len(ranges) + 1)[:-1] for w in (None, *weights)]
 
 
 def strata_rows(sizes: np.ndarray, covered: np.ndarray, strata) -> tuple:
     """Per-stratum counts and coverages; empty strata carry coverage None."""
     strata = _validate_strata(strata)
-    hit = np.zeros(sizes.shape, dtype=bool)
-    rows = []
-    for lo, hi in strata:
-        inside = (sizes >= lo) & (sizes <= hi)
-        hit |= inside
-        cnt = int(inside.sum())
-        cov = float(np.mean(covered[inside])) if cnt else None
-        rows.append(StratumRow(lo, hi, cnt, cov))
-    if not hit.all():
-        s = int(sizes[~hit][0])
-        raise DataError(f"set size {s} falls in no stratum")
-    return tuple(rows)
+    which, (counts, hits) = _range_totals(sizes, strata, covered)
+    if (which == len(strata)).any():
+        raise DataError(f"set size {int(sizes[which == len(strata)][0])} falls in no stratum")
+    return tuple(StratumRow(lo, hi, int(c), float(h / c) if c else None)
+                 for (lo, hi), c, h in zip(strata, counts, hits))
 
 
 def sscv_from_arrays(sizes: np.ndarray, covered: np.ndarray, strata, alpha: float) -> float:
@@ -146,18 +152,11 @@ def sscv(sets, labels, strata, alpha: float) -> float:
 
 
 def difficulty_rows(ranks: np.ndarray, sizes: np.ndarray, covered: np.ndarray, bins) -> tuple:
-    rows = []
-    for lo, hi in bins:
-        inside = (ranks >= lo) & (ranks <= hi)
-        cnt = int(inside.sum())
-        if cnt:
-            rows.append(
-                DifficultyRow(lo, hi, cnt, float(np.mean(covered[inside])),
-                              float(np.mean(sizes[inside])))
-            )
-        else:
-            rows.append(DifficultyRow(lo, hi, cnt, None, None))
-    return tuple(rows)
+    bins = _validate_strata(bins)
+    _, (counts, hits, total) = _range_totals(ranks, bins, covered, sizes)
+    return tuple(DifficultyRow(lo, hi, int(c), float(h / c), float(t / c)) if c
+                 else DifficultyRow(lo, hi, 0, None, None)
+                 for (lo, hi), c, h, t in zip(bins, counts, hits, total))
 
 
 def difficulty_table(sets, labels, ss: SortedScores) -> tuple:

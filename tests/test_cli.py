@@ -699,3 +699,56 @@ def test_model_file_with_fixed_k_fields_on_another_method_is_data_error(tmp_path
     assert code == 1
     assert "k_star and mix_prob apply to fixed_k only" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evaluate_refuses_repeated_strata_before_io(tmp_path, capsys):
+    # Both copies of 0-1 would count the same rows.
+    out = tmp_path / "x"
+    code = run(["evaluate", "--model", str(tmp_path / "never_created.txt"),
+                "--input", str(tmp_path / "never_created.bin"),
+                "--strata", "0-1,0-1,2-50", "--out", str(out)])
+    assert code == 2
+    assert "overlapping strata (0,1) and (0,1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("objective", [[], ["--tune-objective", "size"]])
+def test_tune_refuses_strata_without_the_adaptiveness_objective(tmp_path, capsys, objective):
+    out = tmp_path / "x"
+    code = run(["tune", "--input", str(tmp_path / "never_created.bin"), *objective,
+                "--strata", "0-1,2-50", "--out", str(out)])
+    assert code == 2
+    assert "--strata applies only to --tune-objective adaptiveness" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_takes_strata_with_the_adaptiveness_objective(tmp_path):
+    _, m = cset.generate(cset.SynthSpec(n=300, n_classes=10, concentration=1.0, seed=5))
+    cset.save_scores(m, str(tmp_path / "tune.bin"), "binary")
+    out = tmp_path / "tuned"
+    assert run(["tune", "--input", str(tmp_path / "tune.bin"), "--tune-objective",
+                "adaptiveness", "--strata", "0-1,2-10", "--out", str(out)]) == 0
+    assert "objective = adaptiveness\n" in (out / "tune.txt").read_text()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "lac"], ["--method", "lac", "--deterministic"],
+    ["--method", "naive", "--deterministic"], ["--method", "fixed_k", "--deterministic"],
+    ["--method", "aps"], ["--method", "raps"],
+])
+def test_calibrate_refuses_boundary_inclusive_where_it_changes_no_set(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    code = run(["calibrate", "--input", str(tmp_path / "never_created.csv"), *flags,
+                "--boundary-inclusive", "--out", str(out)])
+    assert code == 2
+    assert "--boundary-inclusive needs --deterministic with aps or raps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["aps", "raps"])
+def test_calibrate_takes_boundary_inclusive_on_deterministic_aps_and_raps(
+        four_row_file, tmp_path, method):
+    out = tmp_path / "x"
+    assert run(["calibrate", "--input", four_row_file, "--method", method, "--deterministic",
+                "--boundary-inclusive", "--out", str(out)]) == 0
+    assert "boundary_inclusive = true\n" in (out / "model.txt").read_text()

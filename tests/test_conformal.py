@@ -715,3 +715,72 @@ def test_model_file_writes_numpy_scalars_as_plain_numbers(tmp_path):
     cset.save_model(model, str(path))
     assert "tau_hat = 0.5\n" in path.read_text() and "mix_prob = 0.25\n" in path.read_text()
     assert cset.load_model(str(path)) == model
+
+
+MIXED_SPECS = (
+    MethodSpec("lac", 0.1),
+    MethodSpec("naive", 0.1),
+    MethodSpec("naive", 0.1, randomized=False),
+    MethodSpec("fixed_k", 0.1),
+    MethodSpec("fixed_k", 0.1, randomized=False),
+    MethodSpec("aps", 0.1),
+    MethodSpec("raps", 0.1),
+    MethodSpec("raps", 0.1, penalty=0.05, kreg=2),
+    MethodSpec("raps", 0.1, randomized=False),
+    MethodSpec("raps", 0.1, penalty=0.3, kreg=3, randomized=False),
+    MethodSpec("raps", 0.1, penalty=0.05, kreg=2, randomized=False, boundary_inclusive=True),
+    MethodSpec("aps", 0.1, randomized=False, boundary_inclusive=True),
+)
+
+
+@st.composite
+def mixed_size_cases(draw):
+    """Every kind of model at once, in a drawn order, over rows that span
+    block edges, so each group's score base meets the others' in one pass."""
+    k = draw(st.sampled_from([3, 7, 100]))
+    rows = _SIZE_BLOCK_CELLS // k
+    n = draw(st.integers(1, 2 * rows + 5))
+    ss, u = _size_rows(draw(st.sampled_from(SIZE_ROW_SHAPES)), n, k,
+                       draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for spec in MIXED_SPECS:
+        if spec.method == "naive":
+            models.append(naive_model(draw(st.sampled_from([0.05, 0.2, 0.5])), k, spec.randomized))
+        elif spec.method == "fixed_k":
+            models.append(ConformalModel(spec, math.inf, 10, 0, k, k_star=draw(st.integers(1, k)),
+                                         mix_prob=draw(st.floats(0.0, 1.0))))
+        else:
+            models.append(ConformalModel(spec, draw(st.floats(0.0, 1.6)), 10, 0, k))
+    return ss, u, draw(st.permutations(models))
+
+
+@given(mixed_size_cases())
+def test_set_sizes_many_over_a_mixed_list_matches_each_model_alone(case):
+    ss, u, models = case
+    for model, sizes in zip(models, set_sizes_many(models, ss, u)):
+        np.testing.assert_array_equal(sizes, set_sizes(model, ss, u), err_msg=repr(model.spec))
+
+
+def test_naive_set_size_given_u_has_its_extremes_the_right_way_round(three_class_sorted):
+    # naive drops its boundary class when u <= v: size 1 at u = 0, 2 at u = 1
+    model = naive_model(0.3, 3)
+    s0, s1, v = set_size_given_u(model, three_class_sorted, 0)
+    assert (s0, s1) == (1, 2)
+    assert v == pytest.approx(1 / 3, abs=1e-9)
+    for u, size in ((0.0, 1), (0.2, 1), (0.5, 2), (1.0, 2)):
+        assert set_sizes(model, three_class_sorted, np.array([u]))[0] == size
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5])
+def test_naive_set_size_given_u_agrees_with_set_sizes(alpha):
+    m = dirichlet_matrix(30, 6, seed=8)
+    ss = sort_scores(m, seed=0)
+    model = naive_model(alpha, 6)
+    grid = np.linspace(0.0005, 0.9995, 2001)
+    for row in range(12):
+        one = ss.take(np.array([row]))
+        s0, s1, v = set_size_given_u(model, ss, row)
+        assert s0 == set_sizes(model, one, np.array([0.0]))[0]
+        assert s1 == set_sizes(model, one, np.array([1.0]))[0]
+        sizes = set_sizes(model, one.take(np.zeros(grid.size, dtype=int)), grid)
+        assert np.mean(sizes) == pytest.approx(v * s0 + (1 - v) * s1, abs=2e-3)

@@ -240,3 +240,116 @@ def test_evaluate_models_matches_one_model_at_a_time():
             assert getattr(report, f.name) == getattr(alone, f.name), (model.spec.method, f.name)
             assert getattr(report, f.name) == getattr(old, f.name), (model.spec.method, f.name)
         assert tuple((r.lo, r.hi) for r in report.per_stratum) == strata
+
+
+def _old_strata_rows(sizes, covered, strata):
+    """strata_rows as one mask per stratum, the code the bincount replaced."""
+    hit = np.zeros(sizes.shape, dtype=bool)
+    rows = []
+    for lo, hi in strata:
+        inside = (sizes >= lo) & (sizes <= hi)
+        hit |= inside
+        cnt = int(inside.sum())
+        cov = float(np.mean(covered[inside])) if cnt else None
+        rows.append(cset.metrics.StratumRow(lo, hi, cnt, cov))
+    if not hit.all():
+        s = int(sizes[~hit][0])
+        raise DataError(f"set size {s} falls in no stratum")
+    return tuple(rows)
+
+
+def _old_difficulty_rows(ranks, sizes, covered, bins):
+    """difficulty_rows as one mask per bin, the code the bincount replaced."""
+    rows = []
+    for lo, hi in bins:
+        inside = (ranks >= lo) & (ranks <= hi)
+        cnt = int(inside.sum())
+        if cnt:
+            rows.append(cset.metrics.DifficultyRow(lo, hi, cnt, float(np.mean(covered[inside])),
+                                                   float(np.mean(sizes[inside]))))
+        else:
+            rows.append(cset.metrics.DifficultyRow(lo, hi, cnt, None, None))
+    return tuple(rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return ("DataError", str(exc))
+
+
+@st.composite
+def _ranges(draw, first, end):
+    """Disjoint ranges that tile [first, end], in a drawn order, sometimes
+    with an empty range past end and sometimes with one range left out."""
+    cuts = sorted(c for c in draw(st.sets(st.integers(first, end), max_size=6)) if c > first)
+    edges = [first, *cuts, end + 1]
+    ranges = [(a, b - 1) for a, b in zip(edges, edges[1:])]
+    if draw(st.booleans()):
+        ranges.append((end + 2, end + 2 + draw(st.integers(0, 5))))
+    if len(ranges) > 1 and draw(st.booleans()):
+        del ranges[draw(st.integers(0, len(ranges) - 1))]
+    return tuple(draw(st.permutations(ranges)))
+
+
+@st.composite
+def _table_cases(draw):
+    """Sizes in [0, K] with 0 and K present, ranks in [1, K] with 1 and K
+    present, both skewed low so that high ranges are often empty; covered as
+    bools or as 0/1 ints; strata from 0 or from a negative lo."""
+    k = draw(st.integers(1, 60))
+    n = draw(st.integers(2, 400))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = np.minimum(g.geometric(draw(st.floats(0.05, 0.9)), n) - 1, k)
+    ranks = np.minimum(g.geometric(draw(st.floats(0.05, 0.9)), n), k)
+    for arr, low in ((sizes, 0), (ranks, 1)):
+        arr[g.choice(n, 2, replace=False)] = (low, k)
+    covered = g.random(n) < draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        covered = covered.astype(np.int64)
+    strata = draw(_ranges(draw(st.sampled_from([0, -1, -4])), k + draw(st.integers(0, 3))))
+    bins = draw(_ranges(1, k + draw(st.integers(0, 3))))
+    return sizes, ranks, covered, strata, bins
+
+
+@given(_table_cases())
+def test_strata_and_difficulty_rows_match_the_mask_loops(case):
+    sizes, ranks, covered, strata, bins = case
+    assert _outcome(strata_rows, sizes, covered, strata) == _outcome(
+        _old_strata_rows, sizes, covered, strata)
+    assert cset.metrics.difficulty_rows(ranks, sizes, covered, bins) == _old_difficulty_rows(
+        ranks, sizes, covered, bins)
+
+
+def test_a_size_in_no_stratum_is_named_in_row_order():
+    sizes = np.array([7, 3, 5, 3])
+    covered = np.array([True, False, True, True])
+    with pytest.raises(DataError, match="^set size 7 falls in no stratum$"):
+        strata_rows(sizes, covered, ((5, 5), (0, 2)))
+
+
+def test_strata_tables_keep_empty_and_negative_ranges():
+    sizes = np.array([0, 0, 1, 4])
+    covered = np.array([1, 0, 1, 1])
+    rows = strata_rows(sizes, covered, ((4, 9), (-3, 1), (2, 3)))
+    assert rows == (cset.metrics.StratumRow(4, 9, 1, 1.0),
+                    cset.metrics.StratumRow(-3, 1, 3, 2 / 3),
+                    cset.metrics.StratumRow(2, 3, 0, None))
+    ranks = np.array([1, 3, 3, 1])
+    diff = cset.metrics.difficulty_rows(ranks, sizes, covered, ((2, 5), (1, 1), (6, 9)))
+    assert diff == (cset.metrics.DifficultyRow(2, 5, 2, 0.5, 0.5),
+                    cset.metrics.DifficultyRow(1, 1, 2, 1.0, 2.0),
+                    cset.metrics.DifficultyRow(6, 9, 0, None, None))
+
+
+@pytest.mark.parametrize("strata", [((0, 1), (0, 1), (2, 50)), ((2, 50), (0, 1), (2, 50))])
+def test_repeated_strata_are_refused(strata):
+    # Counting a row once per copy of its stratum would count it twice.
+    sizes, covered = np.array([0, 1, 2]), np.array([True, True, False])
+    with pytest.raises(ValueError, match="overlapping strata"):
+        strata_rows(sizes, covered, strata)
+    with pytest.raises(ValueError, match="overlapping strata"):
+        cset.metrics.difficulty_rows(sizes + 1, sizes, covered, strata)
+    with pytest.raises(ValueError, match="overlapping strata"):
+        cset.TrialProtocol(n_trials=1, cal_size=10, eval_size=10, strata=strata)
