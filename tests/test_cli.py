@@ -203,6 +203,46 @@ def test_evaluate_tables_keep_their_exact_bytes(four_row_file, tmp_path, capsys)
         assert (out / name).read_bytes() == text.encode()
 
 
+def test_evaluate_report_txt_and_csv_hold_the_same_fields(four_row_file, tmp_path):
+    model = tmp_path / "model"
+    assert run(["calibrate", "--input", four_row_file, "--method", "lac",
+                "--out", str(model)]) == 0
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--model", str(model / "model.txt"), "--input", four_row_file,
+                "--out", str(out)]) == 0
+    txt = [line.split(" = ") for line in (out / "report.txt").read_text().splitlines()]
+    csv = (out / "report.csv").read_text().splitlines()
+    assert csv[0] == "metric,value"
+    assert [line.split(",") for line in csv[1:]] == txt
+    assert [key for key, _ in txt] == ["n_eval", "coverage", "avg_size", "sscv", "top1", "top5"]
+
+
+_SIZES = ["--cal-size", "10", "--eval-size", "10"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["calibrate", "--alpha", "0"], "--alpha"),
+    (["calibrate", "--alpha", "1"], "--alpha"),
+    (["calibrate", "--alpha", "nan"], "--alpha"),
+    (["calibrate", "--alpha", "abc"], "--alpha"),
+    (["fit-temp", "--t-tol", "0"], "--t-tol"),
+    (["fit-temp", "--t-tol", "abc"], "--t-tol"),
+    (["calibrate", "--lambda", "-1"], "--lambda"),
+    (["calibrate", "--lambda", "abc"], "--lambda"),
+    (["experiment", *_SIZES, "--trials", "0"], "--trials"),
+    (["experiment", *_SIZES, "--trials", "abc"], "--trials"),
+    (["experiment", "--eval-size", "10", "--cal-size", "0"], "--cal-size"),
+    (["calibrate", "--seed", "-1"], "--seed"),
+    (["calibrate", "--seed", "abc"], "--seed"),
+])
+def test_numeric_flags_refuse_bad_values_before_io(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    code = run([*argv, "--input", str(tmp_path / "never_created.csv"), "--out", str(out)])
+    assert code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_temp_roundtrip(tmp_path, capsys):
     g = np.random.default_rng(0)
     z = g.normal(0, 3.0, size=(2000, 6))

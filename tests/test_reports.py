@@ -2,8 +2,17 @@ import pytest
 
 import cset
 from cset.conformal import MethodSpec
-from cset.metrics import EvalReport, StratumRow
-from cset.reports import _f, _text_table, render_strata_table
+from cset.metrics import DifficultyRow, EvalReport, StratumRow
+from cset.reports import (
+    _f,
+    _text_table,
+    difficulty_csv,
+    hist_csv,
+    render_strata_table,
+    strata_csv,
+    summary_csv,
+    sweep_csv,
+)
 from cset.trials import MethodPolicy, TrialProtocol, _aggregate, run_trials_multi
 
 
@@ -67,3 +76,42 @@ def test_strata_table_of_a_run_matches_the_table_keyed_by_bounds(strata):
     aggs = run_trials_multi(m, protocol, pols)
     assert any(row.count == 0 for agg in aggs.values() for row in agg.per_stratum)
     assert render_strata_table(aggs) == _strata_table_keyed_by_bounds(aggs)
+
+
+def test_csv_renderers_keep_their_exact_bytes():
+    # floats by repr (2/3, the median 5/6, 1e-05), ints and names by str, and
+    # an empty cell where no trial filled a row
+    agg = _aggregate_of([(0, 1, 3, 2 / 3), (2, 3, 0, None)],
+                        [(0, 1, 1, 1.0), (2, 3, 0, None)])
+    assert summary_csv({"aps": agg, "lac": agg}) == (
+        "method,coverage,avg_size,sscv,top1,top5,penalty,kreg\n"
+        "aps,0.8,2.0,0.1,0.6,0.9,0.0,1.0\n"
+        "lac,0.8,2.0,0.1,0.6,0.9,0.0,1.0\n"
+    )
+    assert hist_csv(agg) == "size,count\n1,10\n"
+    assert strata_csv(agg) == (
+        "size_lo,size_hi,count,coverage\n"
+        "0,1,4,0.8333333333333333\n"
+        "2,3,0,\n"
+    )
+    report = EvalReport(
+        n_eval=6, coverage=2 / 3, avg_size=1.5, sscv=0.0, top1=0.5, top5=1.0,
+        size_hist={0: 1, 2: 5},
+        per_stratum=(StratumRow(0, 0, 1, 0.0), StratumRow(1, 2, 5, 0.8)),
+        per_difficulty=(DifficultyRow(1, 1, 3, 1.0, 2 / 3), DifficultyRow(2, 3, 0, None, None)),
+    )
+    assert hist_csv(report) == "size,count\n0,1\n2,5\n"
+    assert strata_csv(report) == "size_lo,size_hi,count,coverage\n0,0,1,0.0\n1,2,5,0.8\n"
+    assert difficulty_csv(report) == (
+        "difficulty_lo,difficulty_hi,count,coverage,avg_size\n"
+        "1,1,3,1.0,0.6666666666666666\n"
+        "2,3,0,,\n"
+    )
+    # the (5, 1e-05) cell was not run, so it has no row; lambda 1 prints as a float
+    cells = {(1, 1e-05): 2 / 3, (1, 1): 1.0, (5, 1): 3.25}
+    assert sweep_csv(cells, [1, 5], (1e-05, 1)) == (
+        "k_reg,lambda,avg_size\n"
+        "1,1e-05,0.6666666666666666\n"
+        "1,1.0,1.0\n"
+        "5,1.0,3.25\n"
+    )
