@@ -91,6 +91,8 @@ class ConformalModel:
             raise ValueError(f"tau_hat must be finite or inf, got {self.tau_hat}")
         if self.n_cal < 0:
             raise ValueError(f"n_cal must be nonnegative, got {self.n_cal}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.spec.method == "fixed_k":
             if self.k_star is None or self.mix_prob is None:
                 raise ValueError("fixed_k model requires k_star and mix_prob")

@@ -131,6 +131,8 @@ def oracle_coverage(
         raise ValueError("oracle_coverage covers the threshold methods, not fixed_k")
     if mspec.method != "naive" and n_cal < 1:
         raise ValueError(f"{mspec.method} needs a calibration split")
+    if n_eval < 1 or n_trials < 1:
+        raise ValueError(f"need n_eval and n_trials of at least 1, got {n_eval} and {n_trials}")
     covered = [
         _oracle_trial(spec, mspec, n_cal, n_eval, seeds.child_seed(seed, seeds.TRIAL, t))
         for t in range(n_trials)

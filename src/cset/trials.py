@@ -228,6 +228,8 @@ def run_synth_trials(
     for s in (protocol.tune_size, protocol.cal_size, protocol.eval_size):
         if isinstance(s, float):
             raise ValueError("synthetic trials need absolute split sizes")
+    if protocol.cal_size < 1 or protocol.eval_size < 1:
+        raise ValueError("calibration and evaluation splits must be nonempty")
     n_total = protocol.tune_size + protocol.cal_size + protocol.eval_size
     a, b = protocol.tune_size, protocol.tune_size + protocol.cal_size
 

@@ -76,6 +76,22 @@ def test_predict_with_nan_threshold_model_is_data_error(tmp_path, capsys):
     assert not (out / "predictions.csv").exists()
 
 
+def test_predict_with_a_negative_seed_model_is_data_error(tmp_path, capsys):
+    model = ConformalModel(MethodSpec("lac", 0.1), 0.85, 10, 0, 3)
+    path = tmp_path / "model.txt"
+    cset.save_model(model, str(path))
+    path.write_text(path.read_text().replace("seed = 0", "seed = -7"))
+    (tmp_path / "eval.csv").write_text("scores,K=3\n0.5,0.3,0.2,0\n")
+    out = tmp_path / "pred"
+    code = run([
+        "predict", "--model", str(path),
+        "--input", str(tmp_path / "eval.csv"), "--out", str(out),
+    ])
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
+
+
 def test_predict_infinite_threshold_gives_all_classes(tmp_path):
     model = ConformalModel(MethodSpec("aps", 0.1, randomized=False), math.inf, 4, 0, 3)
     cset.save_model(model, str(tmp_path / "model.txt"))

@@ -420,6 +420,20 @@ def test_model_file_rejects_bad_values(tmp_path, field, value):
         cset.load_model(str(path))
 
 
+@pytest.mark.parametrize("spec", [MethodSpec("lac", 0.1), MethodSpec("aps", 0.1, randomized=False)])
+def test_calibrate_refuses_a_negative_seed(spec):
+    m = dirichlet_matrix(20, 4, seed=1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        calibrate(sort_scores(m, seed=0), m.labels, spec, seed=-3)
+
+
+def test_model_file_refuses_a_negative_seed(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(_model_text(seed="-7"))
+    with pytest.raises(DataError, match="seed"):
+        cset.load_model(str(path))
+
+
 def test_model_file_boundary_inclusive_defaults_false(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(_model_text(boundary_inclusive=None))

@@ -150,6 +150,18 @@ def test_oracle_coverage_rejects_fixed_k():
         oracle_coverage(spec, MethodSpec("fixed_k", 0.1), 10, 10, 2)
 
 
+@pytest.mark.parametrize("n_eval, n_trials", [(0, 3), (10, 0)])
+def test_oracle_coverage_refuses_an_empty_estimate_before_any_data(monkeypatch, n_eval,
+                                                                    n_trials):
+    def no_data(*_):
+        raise AssertionError("data generated before the sizes were checked")
+
+    monkeypatch.setattr("cset.synth.generate", no_data)
+    with pytest.raises(ValueError, match="n_eval" if n_eval == 0 else "n_trials"):
+        oracle_coverage(SynthSpec(n=10, n_classes=5), MethodSpec("aps", 0.1),
+                        n_cal=10, n_eval=n_eval, n_trials=n_trials)
+
+
 @pytest.mark.parametrize("corruption, param", [("none", 0.0), ("temperature", 2.0),
                                                ("tail_permute", 3)])
 def test_generate_matches_the_public_constructor_bit_for_bit(corruption, param):

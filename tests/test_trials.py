@@ -140,6 +140,18 @@ def test_synth_trials_reject_fractional_sizes():
         run_synth_trials(sspec, proto, {"aps": MethodPolicy(MethodSpec("aps", 0.2))})
 
 
+@pytest.mark.parametrize("cal_size, eval_size", [(0, 50), (50, 0)])
+def test_synth_trials_refuse_an_empty_split_before_any_data(monkeypatch, cal_size, eval_size):
+    def no_data(*_):
+        raise AssertionError("data generated before the split sizes were checked")
+
+    monkeypatch.setattr("cset.trials.generate", no_data)
+    sspec = cset.SynthSpec(n=1, n_classes=10, seed=0)
+    proto = TrialProtocol(n_trials=2, cal_size=cal_size, eval_size=eval_size, seed=1)
+    with pytest.raises(ValueError, match="calibration and evaluation splits must be nonempty"):
+        run_synth_trials(sspec, proto, {"aps": MethodPolicy(MethodSpec("aps", 0.2))})
+
+
 def _pool_keyed_by_bounds(reports):
     """Strata and difficulty pooling keyed by (lo, hi): the reference for the
     positional pooling in trials._aggregate."""
