@@ -11,6 +11,7 @@ values, 1 for missing or malformed data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from .conformal import MethodSpec, METHODS, load_model, save_model, set_sizes
 from .metrics import _validate_strata, evaluate_model
 from .platt import DEFAULT_BOUNDS, DEFAULT_TOL, fit_temperature
 from .reports import (
+    _csv,
+    _kv,
     difficulty_csv,
     hist_csv,
     render_difficulty_table,
@@ -50,47 +53,31 @@ SWEEP_KREGS = (1, 2, 5, 10, 50)
 
 # --- argument types -------------------------------------------------------
 
-def _alpha(s: str) -> float:
-    v = float(s)
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {s}")
-    return v
+def _number(convert, ok, wording: str):
+    """An argparse type: convert, then refuse what `ok` rejects. It takes
+    convert's name, so argparse's message for a non-number names a type."""
+    def parse(s: str):
+        v = convert(s)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"{wording}, got {s}")
+        return v
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _pos_float(s: str) -> float:
-    v = float(s)
-    if not 0 < v < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {s}")
-    return v
-
-
-def _nonneg_float(s: str) -> float:
-    v = float(s)
-    if not 0 <= v < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {s}")
-    return v
-
-
-def _pos_int(s: str) -> int:
-    v = int(s)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
-    return v
-
-
-def _nonneg_int(s: str) -> int:
-    v = int(s)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {s}")
-    return v
+_alpha = _number(float, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
+_pos_float = _number(float, lambda v: 0 < v < math.inf, "expected a positive finite number")
+_nonneg_float = _number(float, lambda v: 0 <= v < math.inf, "expected a nonnegative finite number")
+_pos_int = _number(int, lambda v: v > 0, "expected a positive integer")
+_nonneg_int = _number(int, lambda v: v >= 0, "expected a nonnegative integer")
 
 
 def _lambda_grid(s: str) -> tuple:
     try:
-        vals = tuple(float(p) for p in s.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad lambda grid {s!r}") from None
-    if not vals or not all(0 <= v < math.inf for v in vals):
+        vals = tuple(_nonneg_float(p) for p in s.split(",") if p.strip())
+    except (ValueError, argparse.ArgumentTypeError):
+        vals = ()
+    if not vals:
         raise argparse.ArgumentTypeError(f"bad lambda grid {s!r}")
     return vals
 
@@ -201,13 +188,7 @@ def cmd_fit_temp(args) -> int:
     if m.kind != "logits":
         raise DataError("fit-temp expects a logits file")
     fit = fit_temperature(m, (args.t_lo, args.t_hi), args.t_tol)
-    text = (
-        f"temperature = {fit.temperature!r}\n"
-        f"nll_before = {fit.nll_before!r}\n"
-        f"nll_after = {fit.nll_after!r}\n"
-        f"iterations = {fit.iterations}\n"
-    )
-    Path(_out(args.out, "temperature.txt")).write_text(text)
+    Path(_out(args.out, "temperature.txt")).write_text(_kv(dataclasses.asdict(fit)))
     print(f"temperature={fit.temperature:.6g} nll {fit.nll_before:.6g} -> {fit.nll_after:.6g}")
     return 0
 
@@ -218,14 +199,13 @@ def cmd_tune(args) -> int:
     m, ss = _load_sorted(args)
     res = tune(ss, m.labels, args.alpha, args.tune_objective, args.lambda_grid,
                args.seed, args.strata)
-    lines = [
-        f"objective = {res.objective}",
-        f"k_star = {res.k_star}",
-        f"k_reg = {res.kreg}",
-        f"lambda = {res.penalty!r}",
-        "grid = " + " ".join(f"{lam!r}:{val!r}" for lam, val in res.grid),
-    ]
-    Path(_out(args.out, "tune.txt")).write_text("\n".join(lines) + "\n")
+    Path(_out(args.out, "tune.txt")).write_text(_kv({
+        "objective": res.objective,
+        "k_star": res.k_star,
+        "k_reg": res.kreg,
+        "lambda": res.penalty,
+        "grid": " ".join(f"{lam!r}:{val!r}" for lam, val in res.grid),
+    }))
     print(f"objective={res.objective} k_reg={res.kreg} lambda={res.penalty:g}")
     return 0
 
@@ -298,17 +278,10 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     m, ss = _load_sorted(args)
     report = evaluate_model(model, ss, m.labels, seed=args.seed, strata=args.strata)
-    lines = [
-        f"n_eval = {report.n_eval}",
-        f"coverage = {report.coverage!r}",
-        f"avg_size = {report.avg_size!r}",
-        f"sscv = {report.sscv!r}",
-        f"top1 = {report.top1!r}",
-        f"top5 = {report.top5!r}",
-    ]
-    Path(_out(args.out, "report.txt")).write_text("\n".join(lines) + "\n")
-    csv = ["metric,value"] + [line.replace(" = ", ",") for line in lines]
-    Path(_out(args.out, "report.csv")).write_text("\n".join(csv) + "\n")
+    names = ("n_eval", "coverage", "avg_size", "sscv", "top1", "top5")
+    fields = {name: getattr(report, name) for name in names}
+    Path(_out(args.out, "report.txt")).write_text(_kv(fields))
+    Path(_out(args.out, "report.csv")).write_text(_csv("metric,value", fields.items()))
     _write_tables(args.out, report)
     print(f"coverage={report.coverage:.4f} avg_size={report.avg_size:.3f} sscv={report.sscv:.4f}")
     return 0

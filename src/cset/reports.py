@@ -1,8 +1,8 @@
-"""Text and CSV rendering of trial results.
+"""Text, CSV and `key = value` rendering of results.
 
-Text tables are for eyeballs (fixed decimals, aligned columns); CSVs carry
-full-precision floats via repr so that a rerun with the same config is byte
-identical and downstream tools can parse without loss.
+Text tables are for eyeballs (fixed decimals, aligned columns). CSV and
+`key = value` files write every cell by _r, floats by repr, so a rerun with
+the same config is byte identical and downstream tools parse without loss.
 """
 
 from __future__ import annotations
@@ -19,6 +19,15 @@ def _r(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _csv(header: str, rows) -> str:
+    lines = [header] + [",".join(map(_r, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _kv(fields: dict) -> str:
+    return "".join(f"{key} = {_r(val)}\n" for key, val in fields.items())
 
 
 def _f(x, nd=3) -> str:
@@ -52,37 +61,20 @@ def render_method_table(aggs: dict[str, TrialAggregate]) -> str:
 
 
 def summary_csv(aggs: dict[str, TrialAggregate]) -> str:
-    lines = ["method,coverage,avg_size,sscv,top1,top5,penalty,kreg"]
-    for name, agg in aggs.items():
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    _r(agg.median_coverage),
-                    _r(agg.median_size),
-                    _r(agg.median_sscv),
-                    _r(float(np.median(agg.top1))),
-                    _r(float(np.median(agg.top5))),
-                    _r(float(np.median(agg.penalties))),
-                    _r(float(np.median(agg.kregs))),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([name, agg.median_coverage, agg.median_size, agg.median_sscv,
+             *(float(np.median(v)) for v in (agg.top1, agg.top5, agg.penalties, agg.kregs))]
+            for name, agg in aggs.items())
+    return _csv("method,coverage,avg_size,sscv,top1,top5,penalty,kreg", rows)
 
 
 def hist_csv(result: TrialAggregate | EvalReport) -> str:
     """Count per set size, for one split (EvalReport) or pooled trials alike."""
-    lines = ["size,count"]
-    lines += [f"{s},{c}" for s, c in result.size_hist.items()]
-    return "\n".join(lines) + "\n"
+    return _csv("size,count", result.size_hist.items())
 
 
 def strata_csv(result: TrialAggregate | EvalReport) -> str:
-    lines = ["size_lo,size_hi,count,coverage"]
-    for row in result.per_stratum:
-        lines.append(f"{row.lo},{row.hi},{row.count},{_r(row.coverage)}")
-    return "\n".join(lines) + "\n"
+    rows = ((r.lo, r.hi, r.count, r.coverage) for r in result.per_stratum)
+    return _csv("size_lo,size_hi,count,coverage", rows)
 
 
 def render_strata_table(aggs: dict[str, TrialAggregate]) -> str:
@@ -104,10 +96,8 @@ def render_strata_table(aggs: dict[str, TrialAggregate]) -> str:
 
 
 def difficulty_csv(result: TrialAggregate | EvalReport) -> str:
-    lines = ["difficulty_lo,difficulty_hi,count,coverage,avg_size"]
-    for row in result.per_difficulty:
-        lines.append(f"{row.lo},{row.hi},{row.count},{_r(row.coverage)},{_r(row.avg_size)}")
-    return "\n".join(lines) + "\n"
+    rows = ((r.lo, r.hi, r.count, r.coverage, r.avg_size) for r in result.per_difficulty)
+    return _csv("difficulty_lo,difficulty_hi,count,coverage,avg_size", rows)
 
 
 def render_difficulty_table(aggs: dict[str, TrialAggregate]) -> str:
@@ -128,12 +118,8 @@ def render_difficulty_table(aggs: dict[str, TrialAggregate]) -> str:
 
 
 def sweep_csv(cells: dict, kregs, lams) -> str:
-    lines = ["k_reg,lambda,avg_size"]
-    for k in kregs:
-        for lam in lams:
-            if (k, lam) in cells:
-                lines.append(f"{k},{_r(float(lam))},{_r(cells[(k, lam)])}")
-    return "\n".join(lines) + "\n"
+    rows = ((k, float(lam), cells[(k, lam)]) for k in kregs for lam in lams if (k, lam) in cells)
+    return _csv("k_reg,lambda,avg_size", rows)
 
 
 def render_sweep(cells: dict, kregs, lams) -> str:

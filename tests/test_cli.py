@@ -236,26 +236,26 @@ def test_evaluate_report_txt_and_csv_hold_the_same_fields(four_row_file, tmp_pat
 _SIZES = ["--cal-size", "10", "--eval-size", "10"]
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["calibrate", "--alpha", "0"], "--alpha"),
-    (["calibrate", "--alpha", "1"], "--alpha"),
-    (["calibrate", "--alpha", "nan"], "--alpha"),
-    (["calibrate", "--alpha", "abc"], "--alpha"),
-    (["fit-temp", "--t-tol", "0"], "--t-tol"),
-    (["fit-temp", "--t-tol", "abc"], "--t-tol"),
-    (["calibrate", "--lambda", "-1"], "--lambda"),
-    (["calibrate", "--lambda", "abc"], "--lambda"),
-    (["experiment", *_SIZES, "--trials", "0"], "--trials"),
-    (["experiment", *_SIZES, "--trials", "abc"], "--trials"),
-    (["experiment", "--eval-size", "10", "--cal-size", "0"], "--cal-size"),
-    (["calibrate", "--seed", "-1"], "--seed"),
-    (["calibrate", "--seed", "abc"], "--seed"),
+@pytest.mark.parametrize("argv, says", [
+    (["calibrate", "--alpha", "0"], "--alpha: alpha must be in (0, 1)"),
+    (["calibrate", "--alpha", "1"], "--alpha: alpha must be in (0, 1)"),
+    (["calibrate", "--alpha", "nan"], "--alpha: alpha must be in (0, 1)"),
+    (["calibrate", "--alpha", "abc"], "--alpha: invalid float value: 'abc'"),
+    (["fit-temp", "--t-tol", "0"], "--t-tol: expected a positive finite number"),
+    (["fit-temp", "--t-tol", "abc"], "--t-tol: invalid float value: 'abc'"),
+    (["calibrate", "--lambda", "-1"], "--lambda: expected a nonnegative finite number"),
+    (["calibrate", "--lambda", "abc"], "--lambda: invalid float value: 'abc'"),
+    (["experiment", *_SIZES, "--trials", "0"], "--trials: expected a positive integer"),
+    (["experiment", *_SIZES, "--trials", "abc"], "--trials: invalid int value: 'abc'"),
+    (["experiment", "--eval-size", "10", "--cal-size", "0"], "--cal-size: expected a positive"),
+    (["calibrate", "--seed", "-1"], "--seed: expected a nonnegative integer"),
+    (["calibrate", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
 ])
-def test_numeric_flags_refuse_bad_values_before_io(tmp_path, capsys, argv, flag):
+def test_numeric_flags_refuse_bad_values_before_io(tmp_path, capsys, argv, says):
     out = tmp_path / "x"
     code = run([*argv, "--input", str(tmp_path / "never_created.csv"), "--out", str(out)])
     assert code == 2
-    assert f"argument {flag}: " in capsys.readouterr().err
+    assert f"argument {says}" in capsys.readouterr().err
     assert not out.exists()
 
 
