@@ -17,7 +17,7 @@ def _r(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # a numpy float's own repr is "np.float64(...)"
     return str(x)
 
 

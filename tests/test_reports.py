@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import cset
@@ -115,3 +116,9 @@ def test_csv_renderers_keep_their_exact_bytes():
         "1,1.0,1.0\n"
         "5,1.0,3.25\n"
     )
+
+
+def test_csv_cells_write_numpy_floats_as_plain_numbers():
+    cells = {(1, 0.5): np.float64(2 / 3)}
+    expected = "k_reg,lambda,avg_size\n1,0.5,0.6666666666666666\n"
+    assert sweep_csv(cells, [1], [np.float64(0.5)]) == expected
