@@ -5,10 +5,10 @@ directory and with relative paths, so the listing depends only on the code
 under test. Every command is covered: `synth`, `ingest`, `fit-temp`,
 `calibrate` for each method (randomized, deterministic, boundary-inclusive
 and on logits), `predict` on binary and CSV input, `evaluate` with and
-without `--strata`, `tune` with both objectives and four `experiment`
-variants. To check that a change
-keeps every output byte, run it against each checkout and diff the two
-listings:
+without `--strata`, `tune` with both objectives and five `experiment`
+variants, one of them the (k_reg, lambda) sweep on a sparse K=100 pool.
+To check that a change keeps every output byte, run it against each
+checkout and diff the two listings:
 
     PYTHONPATH=<checkout>/src python3 scripts/output_digests.py > <listing>
 
@@ -82,11 +82,17 @@ def flows():
     yield ["experiment", "--input", "logits.bin", "--methods", "aps,raps,lac",
            "--trials", "3", "--tune-size", "400", "--cal-size", "600", "--eval-size", "800",
            "--platt-split", "tuning", "--no-sweep", "--out", "exp_logits"]
+    # The sweep on sparse rows, where set_sizes_many cuts most columns, with
+    # 2000 evaluation rows over four of its 655-row blocks at K=100.
+    yield ["experiment", "--input", "sparse.bin", "--trials", "2", "--tune-size", "300",
+           "--cal-size", "500", "--eval-size", "2000", "--seed", "6", "--out", "exp_sparse"]
 
 
 def write_inputs() -> None:
-    """A fixed 2000 x 20 logit file whose labels follow the logits, and a
-    1500 x 20 probability file whose rows are thick with exact ties."""
+    """A fixed 2000 x 20 logit file whose labels follow the logits, a
+    1500 x 20 probability file whose rows are thick with exact ties, and a
+    3000 x 100 Dirichlet(0.02) probability file whose labels follow the
+    rows; stored as float32, about an eighth of its cells are exact zeros."""
     g = np.random.default_rng(0)
     z = 2.0 * g.normal(size=(2000, 20))
     labels = np.argmax(z + g.gumbel(size=z.shape), axis=1)
@@ -96,6 +102,10 @@ def write_inputs() -> None:
     labels = np.argmax(counts + g.random(counts.shape), axis=1)
     probs = counts / counts.sum(axis=1, keepdims=True)
     cset.save_scores(cset.ScoreMatrix(probs, labels, "probabilities"), "ties.bin", "binary")
+    p = np.maximum(g.gamma(0.02, size=(3000, 100)), 1e-290)
+    p /= p.sum(axis=1, keepdims=True)
+    labels = np.minimum((np.cumsum(p, axis=1) < g.random((3000, 1))).sum(axis=1), 99)
+    cset.save_scores(cset.ScoreMatrix(p, labels, "probabilities"), "sparse.bin", "binary")
 
 
 def run(argv) -> None:

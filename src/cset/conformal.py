@@ -260,21 +260,28 @@ def _naive_sizes(srt: np.ndarray, cumsum: np.ndarray, tau: float, randomized: bo
 def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     """Prediction-set size of every row under each model, in one pass.
 
-    u is one uniform per row, shared by every randomized model and ignored
-    by the others. Returns one int64 array per model, in order. Sets are
-    prefixes of the sorted order, so row i's set under models[j] is
+    u is one uniform in [0, 1] per row, shared by every randomized model and
+    ignored by the others. Returns one int64 array per model, in order. Sets
+    are prefixes of the sorted order, so row i's set under models[j] is
     perm[i, :sizes[j][i]].
 
     Cost model: the models are grouped once by the score base they read:
     u * sorted plus the mass above each rank for randomized aps/raps, the
     same at u = 1 for deterministic ones, 1 - sorted for lac, and naive's
     own cutoff. The rows are walked in blocks of about _SIZE_BLOCK_CELLS
-    cells; in each block every group builds its base once into one buffer,
-    and each of its models adds its rank penalty (raps with a nonzero
-    penalty only) into one scratch block and counts the ranks whose score
-    is at most its threshold. So m models cost at most three base passes
-    plus one add and one compare pass per model over the n x K scores, and
-    the extra memory is three blocks, not n x K. fixed_k needs no scores.
+    cells. In each block a group takes a column-wise lower bound of its base
+    (0 at rank 1, then the block's smallest C[j-1]; for lac 1 - max s_j). A
+    model's cut c counts the columns whose bound plus its rank penalty is at
+    most its threshold; the group builds its base up to its largest cut, and
+    each model adds its penalty (raps only) and counts over its first c
+    columns. So m models cost one bound pass per group, at most three base
+    passes, and one add and one compare pass per model over the columns a
+    threshold can reach, in three blocks of memory. fixed_k needs no scores.
+
+    The cut is exact: rounding is monotone, so fl(u * s_j + C[j-1]) >= C[j-1]
+    (u * s_j >= 0) and adding the penalty keeps the order; the fl prefix sum
+    of nonnegative values, the penalty and -max s_j never decrease in j, so
+    every column at or past c scores above the threshold in every block row.
     """
     models = tuple(models)
     n, k = ss.n, ss.n_classes
@@ -290,6 +297,8 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
             u_rows = np.asarray(u, dtype=np.float64)
             if u_rows.shape != (n,):
                 raise ValueError(f"u must have shape ({n},)")
+            if not ((u_rows >= 0.0) & (u_rows <= 1.0)).all():
+                raise ValueError("u must be in [0, 1]")
 
     out = [np.empty(n, dtype=np.int64) for _ in models]
     groups: dict[str, list] = {}
@@ -303,10 +312,12 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
         groups.setdefault(mode, []).append((model, sizes, _penalty_vector(k, spec)))
 
     rows = max(1, _SIZE_BLOCK_CELLS // k)
-    base, scratch = np.empty((2, min(rows, n), k))
-    inside = np.empty((min(rows, n), k), dtype=bool)
+    # Flat buffers, so that a block cut to c columns is one contiguous (rows, c) array.
+    base, scratch = np.empty((2, min(rows, n) * k))
+    inside = np.empty(min(rows, n) * k, dtype=bool)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
+        h = hi - lo
         srt, cumsum = ss.sorted[lo:hi], ss.cumsum[lo:hi]
         u_block = u_rows[lo:hi] if u_rows is not None else None
         for mode, group in groups.items():
@@ -315,11 +326,18 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
                     sizes[lo:hi] = _naive_sizes(srt, cumsum, model.tau_hat,
                                                 model.spec.randomized, u_block)
                 continue
+            lower = (1.0 - srt.max(axis=0) if mode == "lac"
+                     else np.concatenate(([0.0], cumsum[:, :-1].min(axis=0))))
+            cuts = [np.searchsorted(lower if pen is None else lower + pen, model.tau_hat, "right")
+                    for model, _, pen in group]
+            width = max(cuts)
             at = u_block[:, None] if mode == "u" else 1.0
-            block = _score_base(srt, cumsum, mode, at, base[:hi - lo])
-            for model, sizes, pen in group:
-                scores = _add_penalty(block, pen, scratch[:hi - lo])
-                mask = np.less_equal(scores, model.tau_hat, out=inside[:hi - lo])
+            block = _score_base(srt[:, :width], cumsum[:, :width], mode, at,
+                                base[:h * width].reshape(h, width))
+            for (model, sizes, pen), c in zip(group, cuts):
+                scores = _add_penalty(block[:, :c], None if pen is None else pen[:c],
+                                      scratch[:h * c].reshape(h, c))
+                mask = np.less_equal(scores, model.tau_hat, out=inside[:h * c].reshape(h, c))
                 # A byte sum into int32 counts about twice as fast as count_nonzero.
                 sizes[lo:hi] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
 
@@ -345,8 +363,6 @@ def predict(model: ConformalModel, ss: SortedScores, row: int, u: float | None =
     if model.spec.randomized:
         if u is None:
             raise ValueError("randomized model needs u in [0, 1]")
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"u must be in [0, 1], got {u}")
         u_arr = np.array([u])
     else:
         u = None

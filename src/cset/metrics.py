@@ -200,12 +200,14 @@ def evaluate_arrays(
 
 
 def evaluate_models(models, ss: SortedScores, labels: np.ndarray, seed: int = 0,
-                    strata=None) -> list[EvalReport]:
+                    strata=None, n_full: int | None = None) -> list:
     """Predict with every model on one evaluation split and measure each.
 
     Randomized models share one u per row from the substream (seed, EVAL_U),
     drawn only if some model is randomized. The label ranks, strata and
     bins are found once, and one set_sizes_many pass sizes every model's sets.
+    Only the first n_full models (all by default) get an EvalReport; each
+    later one gets its float(np.mean(sizes)), bit for bit that avg_size.
     """
     models = tuple(models)
     randomized = any(model.spec.randomized for model in models)
@@ -216,7 +218,8 @@ def evaluate_models(models, ss: SortedScores, labels: np.ndarray, seed: int = 0,
         strata = default_strata(ss.n_classes)
     bins = default_difficulty_bins(ss.n_classes)
     return [evaluate_arrays(sizes, ranks, model.spec.alpha, strata, bins)
-            for model, sizes in zip(models, all_sizes)]
+            if n_full is None or i < n_full else float(np.mean(sizes))
+            for i, (model, sizes) in enumerate(zip(models, all_sizes))]
 
 
 def evaluate_model(model: ConformalModel, ss: SortedScores, labels: np.ndarray, seed: int = 0,

@@ -1,8 +1,9 @@
 """Text, CSV and `key = value` rendering of results.
 
 Text tables are for eyeballs (fixed decimals, aligned columns). CSV and
-`key = value` files write every cell by _r, floats by repr, so a rerun with
-the same config is byte identical and downstream tools parse without loss.
+`key = value` files write every cell by score_store._r, the rule the score
+CSV also uses: floats by repr, so a rerun with the same config is byte
+identical and downstream tools parse without loss.
 """
 
 from __future__ import annotations
@@ -10,15 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import EvalReport
+from .score_store import _r
 from .trials import TrialAggregate
-
-
-def _r(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(float(x))  # a numpy float's own repr is "np.float64(...)"
-    return str(x)
 
 
 def _csv(header: str, rows) -> str:

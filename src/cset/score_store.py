@@ -418,11 +418,19 @@ def _sniff(path: str) -> str:
     return "binary" if head == _MAGIC else "csv"
 
 
+def _r(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return repr(float(x))  # a numpy float's own repr is "np.float64(...)"
+    return str(x)
+
+
 def _save_csv(m: ScoreMatrix, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"scores,K={m.n_classes}\n")
         for row, label in zip(m.scores, m.labels):
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(_r, row)))
             fh.write(f",{int(label)}\n")
 
 

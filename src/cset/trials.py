@@ -8,7 +8,9 @@ trial index alone, so trials are independent of execution order and safe to
 parallelize; all methods inside one trial share the same splits and the same
 per-row randomization variates. A trial sorts each split once, and one
 set_sizes_many pass over the evaluation rows sizes every method's sets, so
-adding a method to a trial costs its fit and its counts, not another sort.
+adding a method to a trial costs its fit and its counts over the ranks its
+threshold can reach, not another sort; past run_trials_multi's n_full, a
+method gets no report tables, only its mean size.
 
 Summary numbers are medians across trials of per-trial means (median of
 means), which keeps a single weird split from dominating the summary.
@@ -140,16 +142,17 @@ def _aggregate(results: list[tuple[EvalReport, MethodSpec]]) -> TrialAggregate:
 
 
 def _run_trial(
-    draw, trial_seed: int, protocol: TrialProtocol, policies: dict[Hashable, MethodPolicy]
-) -> dict[Hashable, tuple[EvalReport, MethodSpec]]:
+    draw, trial_seed: int, protocol: TrialProtocol, policies: dict[Hashable, MethodPolicy],
+    n_full: int | None,
+) -> dict[Hashable, tuple[EvalReport | float, MethodSpec]]:
     """Draw one trial's splits, fit every policy, and measure every model.
 
     In the protocol's order: fit the temperature on the platt_split split
     and softmax, sort each split once (the tuning split only if some policy
     tunes), tune and fit each policy on the calibration split, and measure
-    every model in one evaluate_models call. Only the sorted splits and
-    their labels outlive the sorts; everything is released on return,
-    before the next trial draws its data.
+    every model in one evaluate_models call (past the first n_full, by mean
+    size only). Only the sorted splits and their labels outlive the sorts;
+    everything is released on return, before the next trial draws its data.
     """
     tune_m, cal_m, eval_m = draw(trial_seed)
     tunes = any(policy.tune_objective is not None for policy in policies.values())
@@ -181,25 +184,30 @@ def _run_trial(
                        seeds.child_seed(trial_seed, seeds.TUNE), protocol.strata)
             spec = replace(spec, penalty=res.penalty, kreg=res.kreg)
         models.append(fit_model(ss_cal, y_cal, spec, trial_seed))
-    reports = evaluate_models(models, ss_eval, y_eval, trial_seed, protocol.strata)
+    reports = evaluate_models(models, ss_eval, y_eval, trial_seed, protocol.strata, n_full)
     return {name: (report, model.spec) for name, model, report in zip(policies, models, reports)}
 
 
-def _run_trials(draw, protocol: TrialProtocol,
-                policies: dict[Hashable, MethodPolicy]) -> dict[Hashable, TrialAggregate]:
-    """The trial loop; draw(trial_seed) gives (tuning, calibration, evaluation)."""
+def _run_trials(draw, protocol: TrialProtocol, policies: dict[Hashable, MethodPolicy],
+                n_full: int | None = None) -> dict:
+    """The trial loop; draw(trial_seed) gives (tuning, calibration, evaluation).
+    Each policy past the first n_full keeps only its per-trial mean set sizes."""
     results: dict[Hashable, list] = {name: [] for name in policies}
     for t in range(protocol.n_trials):
         trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
-        for name, measured in _run_trial(draw, trial_seed, protocol, policies).items():
+        for name, measured in _run_trial(draw, trial_seed, protocol, policies, n_full).items():
             results[name].append(measured)
-    return {name: _aggregate(rs) for name, rs in results.items()}
+    return {name: np.array([mean for mean, _ in rs]) if n_full is not None and i >= n_full
+            else _aggregate(rs) for i, (name, rs) in enumerate(results.items())}
 
 
 def run_trials_multi(
-    m: ScoreMatrix, protocol: TrialProtocol, policies: dict[Hashable, MethodPolicy]
-) -> dict[Hashable, TrialAggregate]:
-    """Random re-splits of one fixed matrix; methods share each trial's data."""
+    m: ScoreMatrix, protocol: TrialProtocol, policies: dict[Hashable, MethodPolicy],
+    n_full: int | None = None,
+) -> dict[Hashable, TrialAggregate | np.ndarray]:
+    """Random re-splits of one fixed matrix; methods share each trial's data.
+    Past the first n_full policies (all by default) each name maps to just
+    the avg_size array its TrialAggregate would hold, bit for bit."""
 
     def draw(trial_seed: int):
         spec = SplitSpec(
@@ -211,7 +219,7 @@ def run_trials_multi(
             raise ValueError("calibration and evaluation splits must be nonempty")
         return tune_m, cal_m, eval_m
 
-    return _run_trials(draw, protocol, policies)
+    return _run_trials(draw, protocol, policies, n_full)
 
 
 def run_trials(m: ScoreMatrix, protocol: TrialProtocol, policy: MethodPolicy) -> TrialAggregate:

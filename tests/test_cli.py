@@ -808,3 +808,26 @@ def test_calibrate_takes_boundary_inclusive_on_deterministic_aps_and_raps(
     assert run(["calibrate", "--input", four_row_file, "--method", method, "--deterministic",
                 "--boundary-inclusive", "--out", str(out)]) == 0
     assert "boundary_inclusive = true\n" in (out / "model.txt").read_text()
+
+
+def test_experiment_sweep_cells_match_the_full_report_path(tmp_path):
+    # the sweep keeps only each trial's mean set size; every sweep.csv cell
+    # must be the median_size its policy gets through the full report path
+    g = np.random.default_rng(3)
+    p = np.maximum(g.gamma(0.05, size=(500, 10)), 1e-290)
+    p /= p.sum(axis=1, keepdims=True)
+    labels = np.minimum((np.cumsum(p, axis=1) < g.random((500, 1))).sum(axis=1), 9)
+    pool, out = tmp_path / "pool.bin", tmp_path / "exp"
+    cset.save_scores(cset.ScoreMatrix(p, labels, "probabilities"), str(pool))
+    assert run(["experiment", "--input", str(pool), "--methods", "aps,lac", "--alpha", "0.2",
+                "--trials", "3", "--cal-size", "150", "--eval-size", "300", "--seed", "4",
+                "--out", str(out)]) == 0
+    m = cset.load_scores(str(pool))
+    protocol = cset.TrialProtocol(n_trials=3, cal_size=150, eval_size=300, seed=4)
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 4 * 10  # k_reg 1, 2, 5 and 10 of K = 10
+    for line in lines:
+        k, lam, cell = line.split(",")
+        policy = cset.MethodPolicy(MethodSpec("raps", 0.2, float(lam), int(k)))
+        key = (int(k), float(lam))
+        assert cell == repr(cset.run_trials_multi(m, protocol, {key: policy})[key].median_size)

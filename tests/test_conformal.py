@@ -798,3 +798,118 @@ def test_naive_set_size_given_u_agrees_with_set_sizes(alpha):
         assert s1 == set_sizes(model, one, np.array([1.0]))[0]
         sizes = set_sizes(model, one.take(np.zeros(grid.size, dtype=int)), grid)
         assert np.mean(sizes) == pytest.approx(v * s0 + (1 - v) * s1, abs=2e-3)
+
+
+# ------------------------------------- set_sizes_many cuts the unreachable ranks
+
+
+def _whole_row_count(model, ss, u):
+    """aps/raps/lac sizes counted over every column of the whole matrix."""
+    spec, k = model.spec, ss.n_classes
+    if spec.method == "lac":
+        scores = 1.0 - ss.sorted
+    else:
+        scores = (u[:, None] if spec.randomized else 1.0) * ss.sorted
+        scores[:, 1:] += ss.cumsum[:, :-1]
+        scores += spec.penalty * np.maximum(np.arange(1, k + 1) - spec.kreg, 0)
+    sizes = (scores <= model.tau_hat).sum(axis=1)
+    if spec.boundary_inclusive and not spec.randomized and spec.method != "lac":
+        sizes = np.minimum(sizes + 1, k)
+    return sizes
+
+
+def _block_bound(spec, ss, lo, hi, j):
+    """The lowest score any row of rows lo:hi can have at 0-based column j."""
+    if spec.method == "lac":
+        return 1.0 - ss.sorted[lo:hi, j].max()
+    low = 0.0 if j == 0 else ss.cumsum[lo:hi, j - 1].min()
+    return low + spec.penalty * max(j + 1 - spec.kreg, 0)
+
+
+@st.composite
+def cut_cases(draw):
+    """aps/raps/lac models whose thresholds sit on, or one ulp either side
+    of, some block's lower bound at some column, over rows that often span
+    three or four blocks."""
+    k = draw(st.sampled_from([7, 100, 257]))
+    rows = _SIZE_BLOCK_CELLS // k
+    n = draw(st.one_of(st.integers(2 * rows + 1, 3 * rows + 7), st.integers(1, rows)))
+    ss, u = _size_rows(draw(st.sampled_from(SIZE_ROW_SHAPES)), n, k,
+                       draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for _ in range(draw(st.integers(1, 4))):
+        method = draw(st.sampled_from(("aps", "raps", "lac")))
+        penalty = draw(st.sampled_from([0.0, 1e-3, 0.3, 1e6])) if method == "raps" else 0.0
+        randomized = draw(st.booleans())
+        spec = MethodSpec(method, 0.1, penalty=penalty, kreg=draw(st.integers(1, 4)),
+                          randomized=randomized,
+                          boundary_inclusive=draw(st.booleans()) and not randomized)
+        where = draw(st.sampled_from(("bound", "inf", "below_zero")))
+        if where == "bound":
+            lo = rows * draw(st.integers(0, (n - 1) // rows))
+            tau = _block_bound(spec, ss, lo, min(lo + rows, n), draw(st.integers(0, k - 1)))
+            tau = float(np.nextafter(tau, draw(st.sampled_from([-math.inf, tau, math.inf]))))
+        else:
+            tau = math.inf if where == "inf" else -5e-324
+        models.append(ConformalModel(spec, tau, 10, 0, k))
+    return ss, u, models
+
+
+@given(cut_cases())
+def test_set_sizes_many_cut_matches_a_whole_matrix_count(case):
+    ss, u, models = case
+    for model, sizes in zip(models, set_sizes_many(models, ss, u)):
+        np.testing.assert_array_equal(sizes, _whole_row_count(model, ss, u),
+                                      err_msg=f"{model.spec!r} tau={model.tau_hat!r}")
+
+
+def test_set_sizes_many_cut_edges():
+    # sparse rows with signed zeros over three blocks of K = 100
+    ss, u = _size_rows("sparse_signed_zero", 3 * (_SIZE_BLOCK_CELLS // 100) + 5, 100, 11)
+    lac_all = ConformalModel(MethodSpec("lac", 0.1), math.inf, 10, 0, 100)
+    # the rank-1 bound is 0, so one ulp below it cuts every column
+    huge = MethodSpec("raps", 0.1, penalty=1e6, kreg=2, randomized=False)
+    nothing = ConformalModel(huge, -5e-324, 10, 0, 100)
+    # a penalty that prices out every rank past kreg whatever the mass
+    two = ConformalModel(huge, 1.0 + 1e-9, 10, 0, 100)
+    lac_sizes, none_sizes, two_sizes = set_sizes_many([lac_all, nothing, two], ss, u)
+    np.testing.assert_array_equal(lac_sizes, np.full(ss.n, 100))
+    np.testing.assert_array_equal(none_sizes, np.zeros(ss.n))
+    np.testing.assert_array_equal(two_sizes, np.full(ss.n, 2))
+    for model in (lac_all, nothing, two):
+        np.testing.assert_array_equal(set_sizes(model, ss, u), _whole_row_count(model, ss, u))
+
+
+@pytest.mark.parametrize("shape", SIZE_ROW_SHAPES)
+@pytest.mark.parametrize("cells", ["k", "3k", "default"])
+def test_set_sizes_many_does_not_depend_on_which_block_holds_a_row(shape, cells):
+    k = 100
+    ss, u = _size_rows(shape, 2 * (_SIZE_BLOCK_CELLS // k) + 17, k, 5)
+    g = np.random.default_rng(6)
+    models = [naive_model(0.1, k), naive_model(0.1, k, False)]
+    for spec in MIXED_SPECS:
+        if spec.method in ("naive", "fixed_k"):
+            continue
+        for _ in range(3):
+            row, rank = int(g.integers(ss.n)), int(g.integers(1, 12))
+            tau = conformity_score(ss, row, rank, u[row] if spec.randomized else 1.0, spec)
+            models.append(ConformalModel(spec, tau, 10, 0, k))
+    want = set_sizes_many(models, ss, u)
+    perm = g.permutation(ss.n)
+    block = {"k": k, "3k": 3 * k, "default": _SIZE_BLOCK_CELLS}[cells]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cset.conformal, "_SIZE_BLOCK_CELLS", block)
+        got = set_sizes_many(models, ss.take(perm), u[perm])
+    for model, a, b in zip(models, want, got):
+        np.testing.assert_array_equal(b, a[perm], err_msg=repr(model.spec))
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
+def test_set_sizes_many_refuses_u_outside_the_unit_interval(bad):
+    ss, u = _size_rows("tie_free", 10, 4, 0)
+    u[3] = bad
+    model = ConformalModel(MethodSpec("aps", 0.1), 0.5, 10, 0, 4)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        set_sizes_many([model], ss, u)
+    # a deterministic model never reads u
+    set_sizes_many([as_deterministic(model)], ss, u)

@@ -319,3 +319,23 @@ def test_empty_tuning_split_fails_before_any_fit(monkeypatch):
 def test_protocol_rejects_bad_strata_before_any_trial(strata):
     with pytest.raises(ValueError):
         small_protocol(strata=strata)
+
+
+def test_policies_past_n_full_keep_the_mean_sizes_of_the_full_path():
+    # a policy past n_full is fitted and sized in the same trials, but keeps
+    # only its per-trial mean sizes: the full report's avg_size, bit for bit
+    m = dirichlet_matrix(400, 8, seed=9, concentration=0.8)
+    pols = {"aps": MethodPolicy(MethodSpec("aps", 0.2)),
+            "lac": MethodPolicy(MethodSpec("lac", 0.2))}
+    pols.update({(k, lam): MethodPolicy(MethodSpec("raps", 0.2, lam, k))
+                 for k in (1, 3) for lam in (0.0, 0.05)})
+    got = run_trials_multi(m, small_protocol(), pols, n_full=2)
+    full = run_trials_multi(m, small_protocol(), pols)
+    assert list(got) == list(full)
+    for name in ("aps", "lac"):
+        np.testing.assert_array_equal(got[name].coverage, full[name].coverage)
+        np.testing.assert_array_equal(got[name].sscv, full[name].sscv)
+    for cell in list(pols)[2:]:
+        assert got[cell].dtype == np.float64
+        np.testing.assert_array_equal(got[cell], full[cell].avg_size)
+        assert float(np.median(got[cell])) == full[cell].median_size
