@@ -211,22 +211,18 @@ def calibration_scores(
 def calibrate(ss: SortedScores, labels: np.ndarray, spec: MethodSpec, seed: int = 0) -> ConformalModel:
     """Threshold selection on a calibration split.
 
-    Randomized aps/raps draw one u per calibration row from the substream
-    (seed, CAL_U), indexed by row, so results do not depend on row order.
-    lac never uses u. naive and fixed_k have no calibrated threshold and are
-    rejected here.
+    Randomized models draw one u per calibration row from the substream
+    (seed, CAL_U), indexed by row, so results do not depend on row order;
+    lac draws it too, and its score ignores it. Labels that are not one per
+    row are a DataError from label_ranks. naive and fixed_k have no
+    calibrated threshold and are rejected here.
     """
     if spec.method not in CALIBRATED_METHODS:
         raise ValueError(f"calibrate handles {CALIBRATED_METHODS}, not {spec.method!r}")
     n = ss.n
     if n < 1:
         raise DataError("empty calibration set")
-    if len(labels) != n:
-        raise DataError("labels must match the calibration rows")
-    if spec.randomized and spec.method != "lac":
-        u = seeds.rng(seed, seeds.CAL_U).random(n)
-    else:
-        u = 1.0
+    u = seeds.rng(seed, seeds.CAL_U).random(n) if spec.randomized else 1.0
     scores = calibration_scores(ss, labels, spec, u)
     tau = conformal_quantile(scores, spec.alpha)
     return ConformalModel(spec, tau, n, seed, ss.n_classes)
@@ -250,11 +246,6 @@ def _naive_cut(srt: np.ndarray, cumsum: np.ndarray, tau: float) -> tuple[np.ndar
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(s_last > 0, (mass - tau) / s_last, 0.0)
     return first + 1, v
-
-
-def _naive_sizes(srt: np.ndarray, cumsum: np.ndarray, tau: float, randomized: bool, u) -> np.ndarray:
-    sizes, v = _naive_cut(srt, cumsum, tau)
-    return sizes - (np.asarray(u, dtype=np.float64) <= v) if randomized else sizes
 
 
 def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
@@ -323,8 +314,9 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
         for mode, group in groups.items():
             if mode == "naive":
                 for model, sizes, _ in group:
-                    sizes[lo:hi] = _naive_sizes(srt, cumsum, model.tau_hat,
-                                                model.spec.randomized, u_block)
+                    sizes[lo:hi], v = _naive_cut(srt, cumsum, model.tau_hat)
+                    if model.spec.randomized:
+                        sizes[lo:hi] -= u_block <= v
                 continue
             lower = (1.0 - srt.max(axis=0) if mode == "lac"
                      else np.concatenate(([0.0], cumsum[:, :-1].min(axis=0))))
@@ -359,14 +351,14 @@ def set_sizes(model: ConformalModel, ss: SortedScores, u=None) -> np.ndarray:
 
 
 def predict(model: ConformalModel, ss: SortedScores, row: int, u: float | None = None) -> PredictionSet:
-    """Prediction set for one row; u must be supplied when randomized."""
-    if model.spec.randomized:
-        if u is None:
-            raise ValueError("randomized model needs u in [0, 1]")
-        u_arr = np.array([u])
-    else:
-        u = None
-        u_arr = None
+    """Prediction set for one row.
+
+    A randomized model needs u in [0, 1]; set_sizes_many refuses a missing
+    or out-of-range u with ValueError. A deterministic model ignores u and
+    records none.
+    """
+    u = u if model.spec.randomized else None
+    u_arr = None if u is None else np.array([u])
     size = int(set_sizes(model, ss.take(np.array([row])), u_arr)[0])
     classes = tuple(int(c) for c in ss.perm[row, :size])
     return PredictionSet(classes, u)
@@ -376,32 +368,26 @@ def set_size_given_u(model: ConformalModel, ss: SortedScores, row: int) -> tuple
     """Closed form of the randomization for one row.
 
     Returns (size_at_u0, size_at_u1, v): the sizes set_sizes gives the
-    randomized model at u = 0 and at u = 1, and the probability v of the
-    first, so E[size] = v * size_at_u0 + (1 - v) * size_at_u1 without
-    sampling. The two sizes differ by at most one; v = 1 when u does not
-    matter. aps/raps keep the boundary class when u <= v, so their u = 0
-    set is the larger; naive drops it when u <= v, so its u = 0 set is the
-    smaller.
+    model's randomized twin at u = 0 and at u = 1 (a deterministic model's
+    own sets ignore u), and the probability v of the first, so
+    E[size] = v * size_at_u0 + (1 - v) * size_at_u1 without sampling. The
+    two sizes differ by at most one; v = 1 when u does not matter. aps/raps
+    keep the boundary class when u <= v, so their u = 0 set is the larger;
+    naive drops it when u <= v, so its u = 0 set is the smaller.
     """
-    spec, tau = model.spec, model.tau_hat
+    spec = model.spec
     if spec.method == "fixed_k":
         raise ValueError("set_size_given_u does not apply to fixed_k")
-    one = ss.take(np.array([row]))
-    if spec.method == "naive":
-        size0, size1 = _naive_sizes(one.sorted, one.cumsum, tau, True,
-                                    np.array([0.0, 1.0])).tolist()
-        v = _naive_cut(one.sorted, one.cumsum, tau)[1][0]
-    else:
-        # Row 0 scores the row at u = 0, row 1 at u = 1.
-        base = _score_base(one.sorted, one.cumsum, spec.method, np.array([[0.0], [1.0]]),
-                           np.empty((2, one.n_classes)))
-        scores = _add_penalty(base, _penalty_vector(one.n_classes, spec), base)
-        size0, size1 = (scores <= tau).sum(axis=1).tolist()
-        b = size0 - 1  # 0-based index of the boundary rank
-        s_b = one.sorted[0, b]
-        v = (tau - scores[0, b]) / s_b if s_b > 0 else 1.0
+    twin = replace(model, spec=replace(spec, randomized=True))
+    pair = ss.take(np.array([row, row]))  # the row twice: sized at u = 0 and at u = 1
+    size0, size1 = set_sizes(twin, pair, np.array([0.0, 1.0])).tolist()
     if size0 == size1:
         return size0, size1, 1.0
+    if spec.method == "naive":
+        v = _naive_cut(pair.sorted, pair.cumsum, model.tau_hat)[1][0]
+    else:  # the sizes differ, so the boundary class has positive mass
+        score = conformity_score(pair, 0, size0, 0.0, spec)
+        v = (model.tau_hat - score) / pair.sorted[0, size0 - 1]
     return size0, size1, float(min(max(v, 0.0), 1.0))
 
 

@@ -53,17 +53,17 @@ class SynthSpec:
             raise ValueError("need at least 2 classes")
         if self.concentration == 0.0:
             object.__setattr__(self, "concentration", 0.05 * self.n_classes)
-        if self.concentration <= 0:
-            raise ValueError(f"concentration must be positive, got {self.concentration}")
+        if not 0 < self.concentration < np.inf:
+            raise ValueError(f"concentration must be positive and finite, got {self.concentration}")
         if self.corruption not in CORRUPTIONS:
             raise ValueError(f"unknown corruption {self.corruption!r}")
         if self.corruption == "none" and self.corruption_param != 0:
             raise ValueError("a corruption parameter needs a corruption other than none")
-        if self.corruption == "temperature" and self.corruption_param <= 0:
-            raise ValueError("temperature corruption needs t > 0")
+        if self.corruption == "temperature" and not 0 < self.corruption_param < np.inf:
+            raise ValueError(f"temperature needs a finite t > 0, got {self.corruption_param}")
         if self.corruption == "tail_permute":
             m = self.corruption_param
-            if m != int(m) or not 0 <= m <= self.n_classes:
+            if not 0 <= m <= self.n_classes or m != int(m):  # range first: int(inf) overflows
                 raise ValueError(f"top_m must be an integer in [0, {self.n_classes}]")
 
 

@@ -913,3 +913,138 @@ def test_set_sizes_many_refuses_u_outside_the_unit_interval(bad):
         set_sizes_many([model], ss, u)
     # a deterministic model never reads u
     set_sizes_many([as_deterministic(model)], ss, u)
+
+
+# -------------------------------------------------- raps size cap, closed form
+
+
+def _cap(model, k):
+    """kreg + max{j : fl(penalty * j) <= tau}, one more when boundary-inclusive, at most K."""
+    spec = model.spec
+    j = np.arange(k + 1)
+    reach = int(j[spec.penalty * j <= model.tau_hat].max())
+    return min(k, spec.kreg + reach + spec.boundary_inclusive)
+
+
+@st.composite
+def raps_cap_cases(draw):
+    k = draw(st.sampled_from([3, 7, 40, 100]))
+    ss, u = _size_rows(draw(st.sampled_from(SIZE_ROW_SHAPES)), draw(st.integers(1, 300)), k,
+                       draw(st.integers(0, 2**32 - 1)))
+    randomized = draw(st.booleans())
+    spec = MethodSpec("raps", 0.1, penalty=draw(st.floats(1e-4, 0.5)),
+                      kreg=draw(st.integers(1, 6)), randomized=randomized,
+                      boundary_inclusive=not randomized and draw(st.booleans()))
+    return ss, u, ConformalModel(spec, draw(st.floats(0.0, 2.0)), 10, 0, k)
+
+
+@given(raps_cap_cases())
+def test_raps_sets_never_pass_the_penalty_cap(case):
+    # Every base score is at least 0 and rounding is monotone, so rank r
+    # scores at least fl(penalty * (r - kreg)) and is out once that passes tau.
+    ss, u, model = case
+    assert set_sizes(model, ss, u).max() <= _cap(model, ss.n_classes)
+
+
+@pytest.mark.parametrize("shape", SIZE_ROW_SHAPES)
+@pytest.mark.parametrize("randomized", [True, False], ids=["randomized", "deterministic"])
+def test_calibrated_raps_sets_never_pass_the_penalty_cap(shape, randomized):
+    ss, u = _size_rows(shape, 400, 40, seed=31)
+    # labels in the top four ranks keep tau small enough that the cap is below K
+    labels = ss.perm[np.arange(ss.n), np.random.default_rng(7).integers(0, 4, ss.n)]
+    for penalty, kreg in ((0.02, 1), (0.05, 3), (0.2, 5), (0.5, 2)):
+        spec = MethodSpec("raps", 0.1, penalty=penalty, kreg=kreg, randomized=randomized,
+                          boundary_inclusive=not randomized)
+        model = calibrate(ss, labels, spec, seed=3)
+        assert _cap(model, 40) < 40
+        assert set_sizes(model, ss, u).max() <= _cap(model, 40)
+
+
+def _twin(model):
+    """The randomized model with the same threshold."""
+    s = model.spec
+    spec = MethodSpec(s.method, s.alpha, penalty=s.penalty, kreg=s.kreg)
+    return ConformalModel(spec, model.tau_hat, model.n_cal, model.seed, model.n_classes)
+
+
+@pytest.mark.parametrize("shape", SIZE_ROW_SHAPES)
+@pytest.mark.parametrize("randomized", [True, False], ids=["randomized", "deterministic"])
+@pytest.mark.parametrize("spec_args", [("aps", 0.0, 1), ("raps", 0.05, 2), ("lac", 0.0, 1)],
+                         ids=["aps", "raps", "lac"])
+def test_set_size_given_u_gives_the_randomized_twin_sizes(shape, randomized, spec_args):
+    method, penalty, kreg = spec_args
+    ss, _ = _size_rows(shape, 40, 7, seed=21)
+    labels = ss.perm[np.arange(ss.n), np.random.default_rng(3).integers(0, 7, ss.n)]
+    spec = MethodSpec(method, 0.2, penalty=penalty, kreg=kreg, randomized=randomized,
+                      boundary_inclusive=not randomized and method != "lac")
+    model = calibrate(ss, labels, spec, seed=2)
+    twin = _twin(model)
+    for row in range(ss.n):
+        one = ss.take(np.array([row]))
+        s0, s1, v = set_size_given_u(model, ss, row)
+        assert s0 == set_sizes(twin, one, np.array([0.0]))[0]
+        assert s1 == set_sizes(twin, one, np.array([1.0]))[0]
+        assert s0 - s1 in (0, 1) and 0.0 <= v <= 1.0
+        if s0 == s1:
+            assert v == 1.0
+
+
+@pytest.mark.parametrize("shape", SIZE_ROW_SHAPES)
+def test_set_size_given_u_expected_size_identity_for_raps(shape):
+    ss, _ = _size_rows(shape, 30, 6, seed=17)
+    labels = ss.perm[np.arange(ss.n), np.random.default_rng(4).integers(0, 3, ss.n)]
+    model = calibrate(ss, labels, MethodSpec("raps", 0.2, penalty=0.04, kreg=2), seed=5)
+    grid = np.linspace(0.0005, 0.9995, 2001)
+    moved = 0
+    for row in range(ss.n):
+        s0, s1, v = set_size_given_u(model, ss, row)
+        moved += s0 != s1
+        sizes = set_sizes(model, ss.take(np.full(grid.size, row)), grid)
+        assert np.mean(sizes) == pytest.approx(v * s0 + (1 - v) * s1, abs=2e-3)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("spec", [
+    MethodSpec("aps", 0.1), MethodSpec("raps", 0.1, penalty=0.1), MethodSpec("lac", 0.1),
+    MethodSpec("naive", 0.1), MethodSpec("aps", 0.1, randomized=False),
+], ids=["aps", "raps", "lac", "naive", "aps_deterministic"])
+def test_set_size_given_u_refuses_a_model_for_another_class_count(spec):
+    ss = sorted_row(0.5, 0.3, 0.2)
+    with pytest.raises(DataError, match="K=5"):
+        set_size_given_u(ConformalModel(spec, 0.85, 10, 0, n_classes=5), ss, 0)
+
+
+# ---------------------------------------- calibrate and predict input rules
+
+
+@pytest.mark.parametrize("shape", SIZE_ROW_SHAPES)
+def test_lac_threshold_is_the_same_randomized_or_not(shape):
+    ss, _ = _size_rows(shape, 50, 6, seed=9)
+    labels = ss.perm[np.arange(ss.n), np.random.default_rng(2).integers(0, 6, ss.n)]
+    for alpha in (0.05, 0.1, 0.3):
+        rand = calibrate(ss, labels, MethodSpec("lac", alpha), seed=4)
+        det = calibrate(ss, labels, MethodSpec("lac", alpha, randomized=False), seed=4)
+        assert repr(rand.tau_hat) == repr(det.tau_hat)
+
+
+@pytest.mark.parametrize("method", ["aps", "raps", "lac"])
+def test_calibrate_refuses_labels_that_are_not_one_per_row(method):
+    ss, _ = _size_rows("tie_free", 10, 4, seed=1)
+    for labels in (np.zeros(9, dtype=int), np.zeros(11, dtype=int), np.zeros((10, 1), dtype=int)):
+        with pytest.raises(DataError, match="one integer per row"):
+            calibrate(ss, labels, MethodSpec(method, 0.1), seed=0)
+
+
+@pytest.mark.parametrize("model", [
+    ConformalModel(MethodSpec("aps", 0.1), 0.85, 10, 0, 3),
+    ConformalModel(MethodSpec("raps", 0.1, penalty=0.1), 0.85, 10, 0, 3),
+    ConformalModel(MethodSpec("lac", 0.1), 0.6, 10, 0, 3),
+    naive_model(0.1, 3),
+    ConformalModel(MethodSpec("fixed_k", 0.1), math.inf, 10, 0, 3, k_star=2, mix_prob=0.5),
+], ids=["aps", "raps", "lac", "naive", "fixed_k"])
+def test_predict_refuses_a_missing_u_on_every_randomized_model(model):
+    ss = sorted_row(0.5, 0.3, 0.2)
+    with pytest.raises(ValueError, match="randomized model needs"):
+        predict(model, ss, 0)
+    # a deterministic model ignores u, even one outside [0, 1], and records none
+    assert predict(as_deterministic(model), ss, 0, u=1.5).u is None

@@ -180,3 +180,23 @@ def test_generate_matches_the_public_constructor_bit_for_bit(corruption, param):
 def test_corruption_param_needs_a_corruption():
     with pytest.raises(ValueError, match="needs a corruption"):
         SynthSpec(n=5, n_classes=3, corruption_param=2.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_settings_are_refused(value):
+    with pytest.raises(ValueError, match="concentration must be positive and finite"):
+        SynthSpec(n=5, n_classes=5, concentration=value)
+    with pytest.raises(ValueError, match="finite t > 0"):
+        SynthSpec(n=5, n_classes=5, corruption="temperature", corruption_param=value)
+    with pytest.raises(ValueError, match="top_m"):
+        SynthSpec(n=5, n_classes=5, corruption="tail_permute", corruption_param=value)
+    with pytest.raises(ValueError, match="needs a corruption"):
+        SynthSpec(n=5, n_classes=5, corruption_param=value)
+
+
+def test_a_nan_concentration_never_reaches_the_trials():
+    # at the parent this ran and reported naive coverage 0.0 at size 1.0
+    protocol = cset.TrialProtocol(n_trials=1, cal_size=20, eval_size=20, seed=0)
+    with pytest.raises(ValueError, match="concentration"):
+        cset.run_synth_trials(SynthSpec(n=1, n_classes=5, concentration=np.nan), protocol,
+                              {"naive": cset.MethodPolicy(MethodSpec("naive", 0.1))})
