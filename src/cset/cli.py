@@ -26,7 +26,6 @@ from .metrics import _validate_strata, evaluate_model
 from .platt import DEFAULT_BOUNDS, DEFAULT_TOL, fit_temperature
 from .reports import (
     _csv,
-    _kv,
     difficulty_csv,
     hist_csv,
     render_difficulty_table,
@@ -39,6 +38,7 @@ from .reports import (
 )
 from .score_store import (
     DataError,
+    _kv,
     load_scores,
     open_scores,
     save_scores,
@@ -127,13 +127,12 @@ def _flag_text(value):
 
 def _echo_config(args: argparse.Namespace) -> None:
     """Write the flag values as a config that --config can replay."""
-    out = getattr(args, "out", None)
-    if not out:
+    if not args.out:  # ingest's --out is optional
         return
     skip = {"func", "config", "command"}
     d = {k: _flag_text(v) for k, v in vars(args).items() if k not in skip and v is not None}
     text = json.dumps(d, indent=2, sort_keys=True) + "\n"
-    Path(_out(out, "config_used.json")).write_text(text)
+    Path(_out(args.out, "config_used.json")).write_text(text)
 
 
 def _write_tables(outdir: str, result, suffix: str = "") -> None:
@@ -161,6 +160,13 @@ def _load_sorted(args):
     if m.kind == "logits":
         m = softmax(m, args.temperature)
     return m, sort_scores(m, args.seed)
+
+
+def _synth_spec(args, n: int) -> SynthSpec:
+    """The generator settings of --k and the synth flags, for n rows."""
+    return SynthSpec(n=n, n_classes=args.k, concentration=args.concentration,
+                     corruption=args.corruption, corruption_param=args.corruption_param,
+                     seed=args.seed)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -359,30 +365,11 @@ def cmd_experiment(args) -> int:
 
 # --- parser ---------------------------------------------------------------
 
-def _add_out(p, required=True):
-    p.add_argument("--out", required=required, help="output directory")
-
-
-def _add_synth_flags(p):
-    p.add_argument("--concentration", type=_nonneg_float, default=0.0,
-                   help="Dirichlet concentration (0 means 0.05 * K)")
-    p.add_argument("--corruption", choices=CORRUPTIONS, default="none")
-    p.add_argument("--corruption-param", type=_nonneg_float, default=0.0,
-                   help="temperature t, or top_m for tail_permute")
-
-
-def _synth_spec(args, n: int) -> SynthSpec:
-    """The generator settings of --k and the synth flags, for n rows."""
-    return SynthSpec(n=n, n_classes=args.k, concentration=args.concentration,
-                     corruption=args.corruption, corruption_param=args.corruption_param,
-                     seed=args.seed)
-
-
-def _add_common_model_flags(p):
-    p.add_argument("--alpha", type=_alpha, default=0.1, help="miscoverage level in (0, 1)")
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed")
-    p.add_argument("--deterministic", action="store_true",
-                   help="fix the randomization variable u to 1 (conservative)")
+def _flag(*names, **kw) -> argparse.ArgumentParser:
+    """A parent parser for add_parser(..., parents=[...]), holding one flag."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*names, **kw)
+    return p
 
 
 def build_parser():
@@ -391,80 +378,77 @@ def build_parser():
         description="Conformal prediction sets from classifier score matrices.",
     )
     parser.add_argument("--config", help="JSON file with default flag values")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a score file and convert formats")
-    p.add_argument("--input", required=True, help="score file (csv or binary)")
+    # One parent parser per shared flag, built afresh per call: subcommands share
+    # its actions, and _apply_config rewrites their required and default fields.
+    inp = _flag("--input", required=True, help="score file (csv or binary)")
+    out = _flag("--out", required=True, help="output directory")
+    model = _flag("--model", required=True, help="model file from calibrate")
+    seed = _flag("--seed", type=_nonneg_int, default=0, help="master seed")
+    temp = _flag("--temperature", type=_pos_float, default=None,
+                 help="apply this softmax temperature to logit inputs")
+    alpha = _flag("--alpha", type=_alpha, default=0.1, help="miscoverage level in (0, 1)")
+    det = _flag("--deterministic", action="store_true",
+                help="fix the randomization variable u to 1 (conservative)")
+    strata = _flag("--strata", type=_strata, default=None,
+                   help="set-size strata like 0-1,2-3,4-10")
+    grid = _flag("--lambda-grid", type=_lambda_grid, default=None,
+                 help="comma-separated penalties; default depends on the objective")
+    synth = _flag("--concentration", type=_nonneg_float, default=0.0,
+                  help="Dirichlet concentration (0 means 0.05 * K)")
+    synth.add_argument("--corruption", choices=CORRUPTIONS, default="none")
+    synth.add_argument("--corruption-param", type=_nonneg_float, default=0.0,
+                       help="temperature t, or top_m for tail_permute")
+
+    p = sub.add_parser("ingest", parents=[inp],
+                       help="validate a score file and convert formats")
     p.add_argument("--to", choices=("binary", "csv"), default="binary")
-    _add_out(p, required=False)
+    p.add_argument("--out", help="output directory (optional)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate synthetic score matrices")
+    p = sub.add_parser("synth", parents=[synth, seed, out],
+                       help="generate synthetic score matrices")
     p.add_argument("--n", type=_pos_int, required=True, help="number of rows")
     p.add_argument("--k", type=_pos_int, required=True, help="number of classes")
-    _add_synth_flags(p)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    _add_out(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit-temp", help="fit a softmax temperature on logits")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("fit-temp", parents=[inp, out],
+                       help="fit a softmax temperature on logits")
     p.add_argument("--t-lo", type=_pos_float, default=DEFAULT_BOUNDS[0])
     p.add_argument("--t-hi", type=_pos_float, default=DEFAULT_BOUNDS[1])
     p.add_argument("--t-tol", type=_pos_float, default=DEFAULT_TOL)
-    _add_out(p)
     p.set_defaults(func=cmd_fit_temp)
 
-    p = sub.add_parser("tune", help="pick raps knobs on a tuning split")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("tune", parents=[inp, grid, strata, temp, alpha, seed, out],
+                       help="pick raps knobs on a tuning split")
     p.add_argument("--tune-objective", choices=TUNE_OBJECTIVES, default="size")
-    p.add_argument("--lambda-grid", type=_lambda_grid, default=None,
-                   help="comma-separated penalties; default depends on the objective")
-    p.add_argument("--strata", type=_strata, default=None,
-                   help="set-size strata like 0-1,2-3,4-10 (adaptiveness objective)")
-    p.add_argument("--temperature", type=_pos_float, default=None,
-                   help="apply this softmax temperature to logit inputs")
-    p.add_argument("--alpha", type=_alpha, default=0.1)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    _add_out(p)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("calibrate", help="calibrate a prediction-set model")
-    p.add_argument("--input", required=True, help="calibration score file")
+    p = sub.add_parser("calibrate", parents=[inp, temp, alpha, seed, det, out],
+                       help="calibrate a prediction-set model")
     p.add_argument("--method", choices=METHODS, default="raps")
     p.add_argument("--lambda", dest="penalty", type=_nonneg_float, default=0.0,
                    help="raps rank penalty")
     p.add_argument("--k-reg", type=_pos_int, default=1, help="penalty-free rank count")
     p.add_argument("--boundary-inclusive", action="store_true",
                    help="with --deterministic aps/raps, also keep the first class past the threshold")
-    p.add_argument("--temperature", type=_pos_float, default=None)
-    _add_common_model_flags(p)
-    _add_out(p)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("predict", help="write prediction sets for a score file")
-    p.add_argument("--model", required=True, help="model file from calibrate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--temperature", type=_pos_float, default=None)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    _add_out(p)
+    p = sub.add_parser("predict", parents=[model, inp, temp, seed, out],
+                       help="write prediction sets for a score file")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="coverage/size/adaptiveness report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--temperature", type=_pos_float, default=None)
-    p.add_argument("--strata", type=_strata, default=None)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    _add_out(p)
+    p = sub.add_parser("evaluate", parents=[model, inp, temp, strata, seed, out],
+                       help="coverage/size/adaptiveness report")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("experiment", help="multi-trial method comparison")
+    p = sub.add_parser("experiment", parents=[synth, grid, strata, alpha, seed, det, out],
+                       help="multi-trial method comparison")
     p.add_argument("--input", default=None, help="score file; omit to use synthetic data")
     p.add_argument("--n", type=_pos_int, default=None,
                    help="synthetic pool size (default: sum of split sizes)")
     p.add_argument("--k", type=_pos_int, default=100, help="synthetic class count")
-    _add_synth_flags(p)
     p.add_argument("--methods", type=_method_list, default=METHODS,
                    help="comma-separated subset of " + ",".join(METHODS))
     p.add_argument("--trials", type=_pos_int, default=10)
@@ -477,13 +461,9 @@ def build_parser():
                    help="penalty-free rank count with --lambda (default 1)")
     p.add_argument("--tune-objective", choices=TUNE_OBJECTIVES, default=None,
                    help="what tuning raps minimizes without --lambda (default size)")
-    p.add_argument("--lambda-grid", type=_lambda_grid, default=None)
-    p.add_argument("--strata", type=_strata, default=None)
     p.add_argument("--platt-split", choices=("calibration", "tuning"), default="calibration")
     p.add_argument("--no-sweep", action="store_true",
                    help="skip the (k_reg, lambda) size sweep")
-    _add_common_model_flags(p)
-    _add_out(p)
     p.set_defaults(func=cmd_experiment)
 
     return parser, sub
@@ -549,9 +529,6 @@ def main(argv=None) -> int:
         if cfg is not None:
             _apply_config(sub, argv, cfg)
         args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
-            parser.print_usage(sys.stderr)
-            return 2
         code = args.func(args)
         _echo_config(args)
         return code

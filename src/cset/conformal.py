@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import seeds
-from .score_store import DataError, ScoreMatrix, SortedScores
+from .score_store import DataError, ScoreMatrix, SortedScores, _kv
 
 METHODS = ("naive", "aps", "raps", "lac", "fixed_k")
 CALIBRATED_METHODS = ("aps", "raps", "lac")
@@ -157,7 +157,7 @@ def _penalty_vector(k: int, spec: MethodSpec) -> np.ndarray | None:
 
 
 def conformity_score(ss: SortedScores, row: int, rank: int, u: float, spec: MethodSpec) -> float:
-    """Score of the class at the given 1-based rank of one row.
+    """Score of the class at the given 1-based rank of one row, as its label would score.
 
     aps/raps/naive: mass above the rank + u * (mass at the rank) + penalty.
     lac: 1 - (mass at the rank); u is ignored.
@@ -165,9 +165,8 @@ def conformity_score(ss: SortedScores, row: int, rank: int, u: float, spec: Meth
     k = ss.n_classes
     if not 1 <= rank <= k:
         raise ValueError(f"rank {rank} out of range [1, {k}]")
-    srt, cumsum = ss.sorted[[row]], ss.cumsum[[row]]
-    base = _score_base(srt, cumsum, spec.method, u, np.empty_like(srt))
-    return float(_add_penalty(base, _penalty_vector(k, spec), base)[0, rank - 1])
+    one = ss.take(np.array([row]))
+    return float(calibration_scores(one, one.perm[:, rank - 1], spec, u)[0])
 
 
 def _score_base(srt: np.ndarray, cumsum: np.ndarray, method: str, u, out: np.ndarray) -> np.ndarray:
@@ -185,11 +184,6 @@ def _score_base(srt: np.ndarray, cumsum: np.ndarray, method: str, u, out: np.nda
     np.multiply(srt, u, out=out)
     out[:, 1:] += cumsum[:, :-1]
     return out
-
-
-def _add_penalty(base: np.ndarray, pen: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """base plus a model's rank penalty, into out; base itself when pen is None."""
-    return base if pen is None else np.add(base, pen, out=out)
 
 
 def calibration_scores(
@@ -327,8 +321,8 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
             block = _score_base(srt[:, :width], cumsum[:, :width], mode, at,
                                 base[:h * width].reshape(h, width))
             for (model, sizes, pen), c in zip(group, cuts):
-                scores = _add_penalty(block[:, :c], None if pen is None else pen[:c],
-                                      scratch[:h * c].reshape(h, c))
+                scores = (block[:, :c] if pen is None
+                          else np.add(block[:, :c], pen[:c], out=scratch[:h * c].reshape(h, c)))
                 mask = np.less_equal(scores, model.tau_hat, out=inside[:h * c].reshape(h, c))
                 # A byte sum into int32 counts about twice as fast as count_nonzero.
                 sizes[lo:hi] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
@@ -402,12 +396,6 @@ def _flag(text: str) -> bool:
     return _BOOLS[text]
 
 
-def _fmt(val) -> str:
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    return str(val)
-
-
 # File key -> (MethodSpec or ConformalModel attribute, parser), in file order.
 _MODEL_FIELDS = {
     "method": ("method", str),
@@ -429,11 +417,10 @@ _OPTIONAL_FIELDS = ("boundary_inclusive", "k_star", "mix_prob")
 
 def save_model(model: ConformalModel, path: str) -> None:
     """Write a model as `key = value` lines, skipping fields that are None; round-trips exactly."""
+    fields = {key: getattr(model.spec if attr in MethodSpec.__dataclass_fields__ else model, attr)
+              for key, (attr, _) in _MODEL_FIELDS.items()}
     with open(path, "w") as fh:
-        for key, (attr, _) in _MODEL_FIELDS.items():
-            val = getattr(model.spec if attr in MethodSpec.__dataclass_fields__ else model, attr)
-            if val is not None:
-                fh.write(f"{key} = {_fmt(val)}\n")
+        fh.write(_kv({key: val for key, val in fields.items() if val is not None}))
 
 
 def load_model(path: str) -> ConformalModel:

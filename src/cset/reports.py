@@ -20,10 +20,6 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kv(fields: dict) -> str:
-    return "".join(f"{key} = {_r(val)}\n" for key, val in fields.items())
-
-
 def _f(x, nd=3) -> str:
     return "" if x is None else f"{x:.{nd}f}"
 

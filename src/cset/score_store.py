@@ -419,11 +419,18 @@ def _sniff(path: str) -> str:
 
 
 def _r(x) -> str:
+    """One cell of any output file: floats by repr, bools as true/false."""
     if x is None:
         return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
     if isinstance(x, float):
         return repr(float(x))  # a numpy float's own repr is "np.float64(...)"
     return str(x)
+
+
+def _kv(fields: dict) -> str:
+    return "".join(f"{key} = {_r(val)}\n" for key, val in fields.items())
 
 
 def _save_csv(m: ScoreMatrix, path: str) -> None:

@@ -1048,3 +1048,13 @@ def test_predict_refuses_a_missing_u_on_every_randomized_model(model):
         predict(model, ss, 0)
     # a deterministic model ignores u, even one outside [0, 1], and records none
     assert predict(as_deterministic(model), ss, 0, u=1.5).u is None
+
+
+def test_model_round_trip_numpy_bools(tmp_path):
+    spec = MethodSpec("aps", 0.1, randomized=np.bool_(False), boundary_inclusive=np.bool_(True))
+    model = ConformalModel(spec, 0.85, 10, 0, 3)
+    path = tmp_path / "model.txt"
+    cset.save_model(model, str(path))
+    text = path.read_text()
+    assert "randomized = false\n" in text and "boundary_inclusive = true\n" in text
+    assert cset.load_model(str(path)) == model

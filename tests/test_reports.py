@@ -14,6 +14,7 @@ from cset.reports import (
     summary_csv,
     sweep_csv,
 )
+from cset.score_store import _kv
 from cset.trials import MethodPolicy, TrialProtocol, _aggregate, run_trials_multi
 
 
@@ -122,3 +123,8 @@ def test_csv_cells_write_numpy_floats_as_plain_numbers():
     cells = {(1, 0.5): np.float64(2 / 3)}
     expected = "k_reg,lambda,avg_size\n1,0.5,0.6666666666666666\n"
     assert sweep_csv(cells, [1], [np.float64(0.5)]) == expected
+
+
+def test_kv_writes_bools_as_true_false():
+    fields = {"a": True, "b": np.bool_(False), "c": np.float64(0.1), "d": 3}
+    assert _kv(fields) == "a = true\nb = false\nc = 0.1\nd = 3\n"
