@@ -162,11 +162,11 @@ def _load_sorted(args):
     return m, sort_scores(m, args.seed)
 
 
-def _synth_spec(args, n: int) -> SynthSpec:
-    """The generator settings of --k and the synth flags, for n rows."""
-    return SynthSpec(n=n, n_classes=args.k, concentration=args.concentration,
-                     corruption=args.corruption, corruption_param=args.corruption_param,
-                     seed=args.seed)
+def _synth_spec(args, n: int, k: int) -> SynthSpec:
+    """SynthSpec for n rows of k classes; a synth flag not given keeps its default."""
+    given = {f: getattr(args, f) for f in ("concentration", "corruption", "corruption_param")
+             if getattr(args, f) is not None}
+    return SynthSpec(n=n, n_classes=k, seed=args.seed, **given)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -183,7 +183,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = _synth_spec(args, args.n)
+    spec = _synth_spec(args, args.n, args.k)
     truth, observed = generate(spec)
     save_scores(observed, _out(args.out, "observed.bin"), "binary")
     save_scores(truth, _out(args.out, "true_probs.bin"), "binary")
@@ -297,10 +297,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     rand = not args.deterministic
-    # --lambda fixes the raps penalty, with --k-reg; without it both are tuned on
-    # each trial's tuning split. A raps flag that reaches no model is refused.
+    # --lambda fixes the raps penalty (with --k-reg), else both are tuned per trial.
+    # A raps flag that reaches no model, or a synthetic flag with --input, is refused.
     unused = {"--lambda": args.penalty, "--k-reg": args.k_reg,
               "--tune-objective": args.tune_objective, "--lambda-grid": args.lambda_grid}
+    if args.input:
+        unused.update({"--n": args.n, "--k": args.k, "--concentration": args.concentration,
+                       "--corruption": args.corruption, "--corruption-param": args.corruption_param})
     policies: dict[str, MethodPolicy] = {}
     for name in args.methods:
         if name != "raps":
@@ -316,13 +319,14 @@ def cmd_experiment(args) -> int:
     stray = [flag for flag, value in unused.items() if value is not None]
     if stray:
         raise ValueError(f"{', '.join(stray)} would reach no model (raps flags need raps in "
-                         "--methods; --k-reg needs --lambda; the tuning flags need it unset)")
+                         "--methods; --k-reg needs --lambda; the tuning flags need it unset; "
+                         "the synthetic flags need no --input)")
 
     if args.input:
         m = load_scores(args.input)
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
-        _, m = generate(_synth_spec(args, pool))
+        _, m = generate(_synth_spec(args, pool, args.k or 100))
 
     protocol = TrialProtocol(
         n_trials=args.trials,
@@ -395,10 +399,10 @@ def build_parser():
                    help="set-size strata like 0-1,2-3,4-10")
     grid = _flag("--lambda-grid", type=_lambda_grid, default=None,
                  help="comma-separated penalties; default depends on the objective")
-    synth = _flag("--concentration", type=_nonneg_float, default=0.0,
-                  help="Dirichlet concentration (0 means 0.05 * K)")
-    synth.add_argument("--corruption", choices=CORRUPTIONS, default="none")
-    synth.add_argument("--corruption-param", type=_nonneg_float, default=0.0,
+    synth = _flag("--concentration", type=_nonneg_float, default=None,
+                  help="Dirichlet concentration (default, or 0: 0.05 * K)")
+    synth.add_argument("--corruption", choices=CORRUPTIONS, default=None, help="default none")
+    synth.add_argument("--corruption-param", type=_nonneg_float, default=None,
                        help="temperature t, or top_m for tail_permute")
 
     p = sub.add_parser("ingest", parents=[inp],
@@ -448,7 +452,7 @@ def build_parser():
     p.add_argument("--input", default=None, help="score file; omit to use synthetic data")
     p.add_argument("--n", type=_pos_int, default=None,
                    help="synthetic pool size (default: sum of split sizes)")
-    p.add_argument("--k", type=_pos_int, default=100, help="synthetic class count")
+    p.add_argument("--k", type=_pos_int, default=None, help="synthetic class count (default 100)")
     p.add_argument("--methods", type=_method_list, default=METHODS,
                    help="comma-separated subset of " + ",".join(METHODS))
     p.add_argument("--trials", type=_pos_int, default=10)

@@ -831,3 +831,55 @@ def test_experiment_sweep_cells_match_the_full_report_path(tmp_path):
         policy = cset.MethodPolicy(MethodSpec("raps", 0.2, float(lam), int(k)))
         key = (int(k), float(lam))
         assert cell == repr(cset.run_trials_multi(m, protocol, {key: policy})[key].median_size)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "99"], ["--k", "50"], ["--concentration", "3"], ["--corruption", "temperature"],
+    ["--corruption-param", "2"],
+])
+def test_experiment_refuses_synthetic_flags_with_input_before_reading_it(
+        tmp_path, capsys, monkeypatch, flags):
+    def no_read(*_):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr("cset.cli.load_scores", no_read)
+    out = tmp_path / "x"
+    code = run(["experiment", "--input", str(tmp_path / "d.bin"), *flags, "--trials", "1",
+                "--cal-size", "50", "--eval-size", "50", "--methods", "aps,lac", "--no-sweep",
+                "--out", str(out)])
+    assert code == 2
+    assert f"{flags[0]} would reach no" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_refuses_a_config_with_synthetic_keys_and_input(tmp_path, capsys):
+    _, m = cset.generate(cset.SynthSpec(n=200, n_classes=10, seed=1))
+    cset.save_scores(m, str(tmp_path / "d.bin"), "binary")
+    cfg = tmp_path / "cfg.json"
+    # what config_used.json held for an `experiment --input` run before the refusal
+    cfg.write_text(json.dumps({"input": str(tmp_path / "d.bin"), "k": 100, "concentration": 0.0,
+                               "corruption": "none", "corruption_param": 0.0}))
+    code = run(["experiment", "--config", str(cfg), "--trials", "1", "--cal-size", "50",
+                "--eval-size", "50", "--methods", "aps", "--no-sweep", "--out",
+                str(tmp_path / "x")])
+    assert code == 2
+    assert "--k, --concentration, --corruption, --corruption-param would" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--n", "300", "--k", "100"],
+    ["experiment", "--trials", "1", "--cal-size", "100", "--eval-size", "100",
+     "--methods", "aps,lac", "--no-sweep"],
+])
+def test_unset_synthetic_flags_take_the_generator_defaults(tmp_path, command):
+    explicit = ["--concentration", "0", "--corruption", "none", "--corruption-param", "0"]
+    if command[0] == "experiment":
+        explicit += ["--k", "100"]
+    assert run([*command, "--out", str(tmp_path / "a")]) == 0
+    assert run([*command, *explicit, "--out", str(tmp_path / "b")]) == 0
+    echoed = json.loads((tmp_path / "a" / "config_used.json").read_text())
+    synthetic = {"k", "concentration", "corruption", "corruption_param"} & set(echoed)
+    assert synthetic == ({"k"} if command[0] == "synth" else set())  # synth requires --k
+    for path in (tmp_path / "a").iterdir():
+        if path.name != "config_used.json":
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()

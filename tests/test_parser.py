@@ -39,8 +39,8 @@ MINIMAL = {
 
 NAMESPACES = {
     "ingest": {"input": "s.bin", "to": "binary", "out": None},
-    "synth": {"n": 10, "k": 3, "concentration": 0.0, "corruption": "none",
-              "corruption_param": 0.0, "seed": 0, "out": "o"},
+    "synth": {"n": 10, "k": 3, "concentration": None, "corruption": None,
+              "corruption_param": None, "seed": 0, "out": "o"},
     "fit-temp": {"input": "s.bin", "t_lo": 0.05, "t_hi": 20.0, "t_tol": 0.0001, "out": "o"},
     "tune": {"input": "s.bin", "tune_objective": "size", "lambda_grid": None, "strata": None,
              "temperature": None, "alpha": 0.1, "seed": 0, "out": "o"},
@@ -50,8 +50,8 @@ NAMESPACES = {
     "predict": {"model": "m.txt", "input": "s.bin", "temperature": None, "seed": 0, "out": "o"},
     "evaluate": {"model": "m.txt", "input": "s.bin", "temperature": None, "strata": None,
                  "seed": 0, "out": "o"},
-    "experiment": {"input": None, "n": None, "k": 100, "concentration": 0.0,
-                   "corruption": "none", "corruption_param": 0.0,
+    "experiment": {"input": None, "n": None, "k": None, "concentration": None,
+                   "corruption": None, "corruption_param": None,
                    "methods": ("naive", "aps", "raps", "lac", "fixed_k"), "trials": 10,
                    "tune_size": 0, "cal_size": 5, "eval_size": 6, "penalty": None,
                    "k_reg": None, "tune_objective": None, "lambda_grid": None, "strata": None,
