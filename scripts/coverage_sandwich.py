@@ -29,30 +29,33 @@ def parse_args():
     ap.add_argument("--penalty", type=float, default=0.01)
     ap.add_argument("--k-reg", type=int, default=5)
     ap.add_argument("--seed", type=int, default=12345)
-    return ap.parse_args()
+    return ap, ap.parse_args()
 
 
 def main():
-    args = parse_args()
+    ap, args = parse_args()
     param = args.corruption_param
     if param is None:
         param = 0.0 if args.corruption == "none" else 10.0
-    spec = cset.SynthSpec(
-        n=1, n_classes=args.k, concentration=args.concentration,
-        corruption=args.corruption, corruption_param=param,
-    )
-    protocol = cset.TrialProtocol(
-        n_trials=args.trials, cal_size=args.cal_size,
-        eval_size=args.eval_size, seed=args.seed,
-    )
     a = args.alpha
-    policies = {
-        "raps": cset.MethodPolicy(
-            cset.MethodSpec("raps", a, penalty=args.penalty, kreg=args.k_reg)),
-        "aps": cset.MethodPolicy(cset.MethodSpec("aps", a)),
-        "lac": cset.MethodPolicy(cset.MethodSpec("lac", a)),
-        "naive": cset.MethodPolicy(cset.MethodSpec("naive", a)),
-    }
+    try:  # a bad value is a usage error (exit 2), as in the cset CLI
+        spec = cset.SynthSpec(
+            n=1, n_classes=args.k, concentration=args.concentration,
+            corruption=args.corruption, corruption_param=param,
+        )
+        protocol = cset.TrialProtocol(
+            n_trials=args.trials, cal_size=args.cal_size,
+            eval_size=args.eval_size, seed=args.seed,
+        )
+        policies = {
+            "raps": cset.MethodPolicy(
+                cset.MethodSpec("raps", a, penalty=args.penalty, kreg=args.k_reg)),
+            "aps": cset.MethodPolicy(cset.MethodSpec("aps", a)),
+            "lac": cset.MethodPolicy(cset.MethodSpec("lac", a)),
+            "naive": cset.MethodPolicy(cset.MethodSpec("naive", a)),
+        }
+    except ValueError as exc:
+        ap.error(str(exc))
     t0 = time.perf_counter()
     aggs = cset.run_synth_trials(spec, protocol, policies)
     elapsed = time.perf_counter() - t0

@@ -17,11 +17,10 @@ import numpy as np
 import cset
 
 
-def run_block(name, spec, protocol, objective, alpha):
+def run_block(name, spec, protocol, objective, tuned, plain):
     policies = {
-        "tuned": cset.MethodPolicy(cset.MethodSpec("raps", alpha),
-                                   tune_objective=objective),
-        "plain": cset.MethodPolicy(cset.MethodSpec("aps", alpha)),
+        "tuned": cset.MethodPolicy(tuned, tune_objective=objective),
+        "plain": cset.MethodPolicy(plain),
     }
     aggs = cset.run_synth_trials(spec, protocol, policies)
     tuned, plain = aggs["tuned"], aggs["plain"]
@@ -46,22 +45,27 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    run_block(
-        "size objective",
-        cset.SynthSpec(n=1, n_classes=300, concentration=0.40,
-                       corruption="tail_permute", corruption_param=1),
-        cset.TrialProtocol(n_trials=args.trials, cal_size=2000,
-                           eval_size=6000, tune_size=2000, seed=args.seed),
-        "size", args.alpha,
-    )
-    run_block(
-        "adaptiveness objective",
-        cset.SynthSpec(n=1, n_classes=1000, concentration=1.0,
-                       corruption="tail_permute", corruption_param=1),
-        cset.TrialProtocol(n_trials=max(args.trials // 2, 1), cal_size=1000,
-                           eval_size=6000, tune_size=1000, seed=args.seed + 1),
-        "adaptiveness", args.alpha,
-    )
+    try:  # a bad value is a usage error (exit 2), as in the cset CLI
+        blocks = [(
+            "size objective",
+            cset.SynthSpec(n=1, n_classes=300, concentration=0.40,
+                           corruption="tail_permute", corruption_param=1),
+            cset.TrialProtocol(n_trials=args.trials, cal_size=2000,
+                               eval_size=6000, tune_size=2000, seed=args.seed),
+            "size",
+        ), (
+            "adaptiveness objective",
+            cset.SynthSpec(n=1, n_classes=1000, concentration=1.0,
+                           corruption="tail_permute", corruption_param=1),
+            cset.TrialProtocol(n_trials=max(args.trials // 2, 1), cal_size=1000,
+                               eval_size=6000, tune_size=1000, seed=args.seed + 1),
+            "adaptiveness",
+        )]
+        tuned, plain = cset.MethodSpec("raps", args.alpha), cset.MethodSpec("aps", args.alpha)
+    except ValueError as exc:
+        ap.error(str(exc))
+    for block in blocks:
+        run_block(*block, tuned, plain)
     return 0
 
 
