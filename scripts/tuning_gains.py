@@ -17,10 +17,10 @@ import numpy as np
 import cset
 
 
-def run_block(name, spec, protocol, objective, tuned, plain):
+def run_block(name, spec, protocol, objective, tuned_spec, plain_spec):
     policies = {
-        "tuned": cset.MethodPolicy(tuned, tune_objective=objective),
-        "plain": cset.MethodPolicy(plain),
+        "tuned": cset.MethodPolicy(tuned_spec, tune_objective=objective),
+        "plain": cset.MethodPolicy(plain_spec),
     }
     aggs = cset.run_synth_trials(spec, protocol, policies)
     tuned, plain = aggs["tuned"], aggs["plain"]
