@@ -5,8 +5,10 @@ directory and with relative paths, so the listing depends only on the code
 under test. Every command is covered: `synth`, `ingest`, `fit-temp`,
 `calibrate` for each method (randomized, deterministic, boundary-inclusive
 and on logits), `predict` on binary and CSV input, `evaluate` with and
-without `--strata`, `tune` with both objectives and five `experiment`
-variants, one of them the (k_reg, lambda) sweep on a sparse K=100 pool.
+without `--strata`, `tune` with both objectives, `calibrate`, `evaluate`,
+`tune` and `predict` on a logit file of four row blocks, `calibrate` and
+`evaluate` on CSV input, and five `experiment` variants, one of them the
+(k_reg, lambda) sweep on a sparse K=100 pool.
 To check that a change keeps every output byte, run it against each
 checkout and diff the two listings:
 
@@ -57,6 +59,20 @@ def flows():
                "--deterministic", "--boundary-inclusive", "--out", f"cal_{method}_incl"]
     yield ["calibrate", "--input", "logits.bin", "--method", "raps", "--lambda", "0.1",
            "--temperature", "1.5", "--out", "logits_raps"]
+    # Four row blocks at K=50 (three of 1310 rows, a last one of 70) through
+    # every command that softmaxes and sorts a score file.
+    wide = ["--input", "wide.bin", "--temperature", "1.5"]
+    yield ["calibrate", *wide, "--method", "raps", "--lambda", "0.02", "--k-reg", "2",
+           "--seed", "7", "--out", "wide_raps"]
+    yield ["evaluate", "--model", "wide_raps/model.txt", *wide, "--seed", "8",
+           "--out", "eval_wide"]
+    yield ["tune", *wide, "--seed", "9", "--out", "tune_wide"]
+    yield ["predict", "--model", "wide_raps/model.txt", *wide, "--seed", "10",
+           "--out", "pred_wide"]
+    yield ["calibrate", "--input", "ties_csv/scores.csv", "--method", "aps", "--seed", "11",
+           "--out", "ties_csv_aps"]
+    yield ["evaluate", "--model", "ties_csv_aps/model.txt", "--input", "ties_csv/scores.csv",
+           "--seed", "12", "--out", "eval_ties_csv"]
     for model in [f"cal_{m}" for m in METHOD_FLAGS] + ["cal_raps_det", "cal_raps_incl"]:
         yield ["predict", "--model", f"{model}/model.txt", "--input", "new/observed.bin",
                "--seed", "3", "--out", f"pred_{model}"]
@@ -90,9 +106,10 @@ def flows():
 
 def write_inputs() -> None:
     """A fixed 2000 x 20 logit file whose labels follow the logits, a
-    1500 x 20 probability file whose rows are thick with exact ties, and a
+    1500 x 20 probability file whose rows are thick with exact ties, a
     3000 x 100 Dirichlet(0.02) probability file whose labels follow the
-    rows; stored as float32, about an eighth of its cells are exact zeros."""
+    rows (stored as float32, about an eighth of its cells are exact zeros),
+    and a 4000 x 50 logit file whose labels follow the logits."""
     g = np.random.default_rng(0)
     z = 2.0 * g.normal(size=(2000, 20))
     labels = np.argmax(z + g.gumbel(size=z.shape), axis=1)
@@ -106,6 +123,9 @@ def write_inputs() -> None:
     p /= p.sum(axis=1, keepdims=True)
     labels = np.minimum((np.cumsum(p, axis=1) < g.random((3000, 1))).sum(axis=1), 99)
     cset.save_scores(cset.ScoreMatrix(p, labels, "probabilities"), "sparse.bin", "binary")
+    z = 2.0 * g.normal(size=(4000, 50))
+    labels = np.argmax(z + g.gumbel(size=z.shape), axis=1)
+    cset.save_scores(cset.ScoreMatrix(z, labels, "logits"), "wide.bin", "binary")
 
 
 def run(argv) -> None:
