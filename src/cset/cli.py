@@ -38,6 +38,7 @@ from .reports import (
 )
 from .score_store import (
     DataError,
+    SortedScores,
     _kv,
     load_scores,
     open_scores,
@@ -142,24 +143,37 @@ def _write_tables(outdir: str, result, suffix: str = "") -> None:
         Path(_out(outdir, f"{kind}{suffix}.csv")).write_text(render(result))
 
 
-def _check_kind(kind: str, temperature) -> None:
-    """--temperature goes with logits, and only with logits."""
-    if kind == "probabilities":
-        if temperature is not None:
+def _open_sorted(args):
+    """--input as ScoreBlocks, and a generator of (first row, SortedScores) that
+    softmaxes logit blocks at --temperature (given for logits only) and sorts
+    each as the whole matrix's sort would; it reads no block until started."""
+    scores = open_scores(args.input)
+    if scores.kind == "probabilities":
+        if args.temperature is not None:
             raise ValueError("--temperature only applies to logit inputs")
-    elif temperature is None:
+    elif args.temperature is None:
         raise DataError(
             "input holds logits; fit a temperature with fit-temp and pass --temperature"
         )
 
+    def walk():
+        for lo, block in scores:
+            if block.kind == "logits":
+                block = softmax(block, args.temperature)
+            yield lo, sort_scores(block, args.seed, first_row=lo)
+
+    return scores, walk()
+
 
 def _load_sorted(args):
-    """Load --input as probabilities (softmax at --temperature for logits) and sort it."""
-    m = load_scores(args.input)
-    _check_kind(m.kind, args.temperature)
-    if m.kind == "logits":
-        m = softmax(m, args.temperature)
-    return m, sort_scores(m, args.seed)
+    """(labels, SortedScores) of the whole of --input, joined from its sorted blocks."""
+    scores, blocks = _open_sorted(args)
+    shape = (scores.n, scores.n_classes)
+    srt, perm, cumsum = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape)
+    for lo, ss in blocks:
+        hi = lo + ss.n
+        srt[lo:hi], perm[lo:hi], cumsum[lo:hi] = ss.sorted, ss.perm, ss.cumsum
+    return scores.labels, SortedScores(srt, perm, cumsum)
 
 
 def _synth_spec(args, n: int, k: int) -> SynthSpec:
@@ -204,8 +218,8 @@ def cmd_fit_temp(args) -> int:
 def cmd_tune(args) -> int:
     if args.strata is not None and args.tune_objective != "adaptiveness":
         raise ValueError("--strata applies only to --tune-objective adaptiveness")
-    m, ss = _load_sorted(args)
-    res = tune(ss, m.labels, args.alpha, args.tune_objective, args.lambda_grid,
+    labels, ss = _load_sorted(args)
+    res = tune(ss, labels, args.alpha, args.tune_objective, args.lambda_grid,
                args.seed, args.strata)
     Path(_out(args.out, "tune.txt")).write_text(_kv({
         "objective": res.objective,
@@ -231,8 +245,8 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"--k-reg is a raps knob, not valid for {spec.method}")
     if spec.boundary_inclusive and (spec.randomized or spec.method not in ("aps", "raps")):
         raise ValueError("--boundary-inclusive needs --deterministic with aps or raps")
-    m, ss = _load_sorted(args)
-    model = fit_model(ss, m.labels, spec, args.seed)
+    labels, ss = _load_sorted(args)
+    model = fit_model(ss, labels, spec, args.seed)
     path = _out(args.out, "model.txt")
     save_model(model, path)
     extra = f" k_star={model.k_star} mix_prob={model.mix_prob:g}" if model.k_star else ""
@@ -242,17 +256,15 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    """Write predictions.csv one row block at a time (see ScoreBlocks).
+    """Write predictions.csv one sorted row block at a time (see _open_sorted).
 
-    Each block is softmaxed, sorted from its first row's tie keys and sized
-    with its slice of the one stream of u draws, so the file is the same
-    as one pass over the whole matrix would give. The lines go to a
-    partial file that replaces predictions.csv only once every block is
-    done, so a bad row anywhere leaves no predictions.csv behind.
+    Each block is sized with its slice of the one stream of u draws, so the
+    file is the same as one pass over the whole matrix would give. The
+    lines go to a partial file that replaces predictions.csv only once
+    every block is done, so a bad row anywhere leaves no predictions.csv.
     """
     model = load_model(args.model)
-    scores = open_scores(args.input)
-    _check_kind(scores.kind, args.temperature)
+    scores, blocks = _open_sorted(args)
     if model.n_classes != scores.n_classes:
         raise DataError(
             f"model was calibrated for K={model.n_classes}, scores have K={scores.n_classes}"
@@ -263,10 +275,7 @@ def cmd_predict(args) -> int:
     total = 0
     try:
         with open(partial, "w") as fh:
-            for lo, block in scores:
-                if block.kind == "logits":
-                    block = softmax(block, args.temperature)
-                ss = sort_scores(block, args.seed, first_row=lo)
+            for lo, ss in blocks:
                 u = u_rng.random(ss.n) if u_rng is not None else None
                 sizes = set_sizes(model, ss, u)
                 total += int(sizes.sum())
@@ -284,8 +293,8 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    m, ss = _load_sorted(args)
-    report = evaluate_model(model, ss, m.labels, seed=args.seed, strata=args.strata)
+    labels, ss = _load_sorted(args)
+    report = evaluate_model(model, ss, labels, seed=args.seed, strata=args.strata)
     names = ("n_eval", "coverage", "avg_size", "sscv", "top1", "top5")
     fields = {name: getattr(report, name) for name in names}
     Path(_out(args.out, "report.txt")).write_text(_kv(fields))

@@ -354,9 +354,13 @@ def load_scores(path: str, fmt: str = "auto") -> ScoreMatrix:
         fmt = _sniff(path)
     if fmt == "csv":
         return _load_csv(path)
-    if fmt == "binary":
-        return _load_binary(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt != "binary":
+        raise ValueError(f"unknown format {fmt!r}")
+    head = _open_binary(path)
+    with open(path, "rb") as fh:
+        scores = _read_rows(fh, path, head.n_classes, 0, head.n)
+    # ScoreMatrix converts the float32 scores to float64 in one copy.
+    return ScoreMatrix(scores, head.labels, head.kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,11 +409,7 @@ def open_scores(path: str) -> ScoreBlocks:
     if _sniff(path) == "csv":
         m = _load_csv(path)
         return ScoreBlocks(path, m.kind, m.n_classes, m.labels, m)
-    with open(path, "rb") as fh:
-        kind, n, k = _read_header(fh, path)
-        labels = _read_labels(fh, n, k)
-    labels.setflags(write=False)
-    return ScoreBlocks(path, kind, k, labels)
+    return _open_binary(path)
 
 
 def _sniff(path: str) -> str:
@@ -494,27 +494,25 @@ def _save_binary(m: ScoreMatrix, path: str) -> None:
         fh.write(m.labels.astype("<u4").tobytes())
 
 
-def _read_header(fh, path: str) -> tuple[str, int, int]:
-    """(kind, n, K) of an open binary score file, whose size must match them."""
-    head = fh.read(_HEAD_BYTES)
-    _check(len(head) == _HEAD_BYTES, f"{path}: truncated header")
-    _check(head[: len(_MAGIC)] == _MAGIC, f"{path}: bad magic, not a score file")
-    kind_flag, n, k = _HEAD.unpack_from(head, len(_MAGIC))
-    _check(kind_flag in (0, 1), f"{path}: bad kind flag {kind_flag}")
-    _check(n > 0, f"{path}: empty matrix")
-    _check(k >= 2, f"{path}: need at least 2 classes, got {k}")
-    need = _HEAD_BYTES + 4 * n * k + 4 * n
-    size = os.fstat(fh.fileno()).st_size
-    _check(size == need, f"{path}: truncated or padded, expected {need} bytes, found {size}")
-    return ("logits" if kind_flag == 0 else "probabilities"), n, k
-
-
-def _read_labels(fh, n: int, k: int) -> np.ndarray:
-    """The labels of a binary score file as int64, checked to lie in [0, K)."""
-    fh.seek(_HEAD_BYTES + 4 * n * k)
-    labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
+def _open_binary(path: str) -> ScoreBlocks:
+    """A binary score file's kind, K and labels, read before any score: its
+    size must match the header, and each label must lie in [0, K)."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEAD_BYTES)
+        _check(len(head) == _HEAD_BYTES, f"{path}: truncated header")
+        _check(head[: len(_MAGIC)] == _MAGIC, f"{path}: bad magic, not a score file")
+        kind_flag, n, k = _HEAD.unpack_from(head, len(_MAGIC))
+        _check(kind_flag in (0, 1), f"{path}: bad kind flag {kind_flag}")
+        _check(n > 0, f"{path}: empty matrix")
+        _check(k >= 2, f"{path}: need at least 2 classes, got {k}")
+        need = _HEAD_BYTES + 4 * n * k + 4 * n
+        size = os.fstat(fh.fileno()).st_size
+        _check(size == need, f"{path}: truncated or padded, expected {need} bytes, found {size}")
+        fh.seek(_HEAD_BYTES + 4 * n * k)
+        labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
     _check_labels(labels, k)
-    return labels
+    labels.setflags(write=False)
+    return ScoreBlocks(path, "logits" if kind_flag == 0 else "probabilities", k, labels)
 
 
 def _read_rows(fh, path: str, k: int, lo: int, hi: int) -> np.ndarray:
@@ -523,12 +521,3 @@ def _read_rows(fh, path: str, k: int, lo: int, hi: int) -> np.ndarray:
     scores = np.fromfile(fh, dtype="<f4", count=(hi - lo) * k)
     _check(scores.size == (hi - lo) * k, f"{path}: truncated at row {lo}")
     return scores.reshape(hi - lo, k)
-
-
-def _load_binary(path: str) -> ScoreMatrix:
-    with open(path, "rb") as fh:
-        kind, n, k = _read_header(fh, path)
-        labels = _read_labels(fh, n, k)
-        scores = _read_rows(fh, path, k, 0, n)
-    # ScoreMatrix converts the float32 scores to float64 in one copy.
-    return ScoreMatrix(scores, labels, kind)
