@@ -11,14 +11,15 @@ import math
 import time
 
 import cset
+from cset.cli import _pos_int
 
 
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--k", type=int, default=100)
     ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--cal-size", type=int, default=1000)
-    ap.add_argument("--eval-size", type=int, default=10000)
+    ap.add_argument("--cal-size", type=_pos_int, default=1000)
+    ap.add_argument("--eval-size", type=_pos_int, default=10000)
     ap.add_argument("--alpha", type=float, default=0.1)
     ap.add_argument("--concentration", type=float, default=0.0,
                     help="Dirichlet total mass; 0 means the 0.05*K default")

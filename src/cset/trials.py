@@ -50,6 +50,8 @@ class TrialProtocol:
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.platt_split not in PLATT_SPLITS:
             raise ValueError(f"platt_split must be one of {PLATT_SPLITS}")
         if self.strata is not None:

@@ -16,6 +16,13 @@ ROOT = Path(__file__).resolve().parent.parent
     ("coverage_sandwich.py", ["--alpha", "0"], "alpha must be in (0, 1)"),
     ("tuning_gains.py", ["--trials", "0"], "need at least one trial"),
     ("tuning_gains.py", ["--alpha", "1.5"], "alpha must be in (0, 1)"),
+    ("coverage_sandwich.py", ["--seed", "-1", "--trials", "1", "--cal-size", "50",
+                              "--eval-size", "50", "--k", "20"], "seed must be nonnegative"),
+    ("tuning_gains.py", ["--seed", "-1", "--trials", "1"], "seed must be nonnegative"),
+    ("coverage_sandwich.py", ["--cal-size", "0", "--trials", "1"],
+     "--cal-size: expected a positive integer"),
+    ("coverage_sandwich.py", ["--eval-size", "-5", "--trials", "1"],
+     "--eval-size: expected a positive integer"),
 ])
 def test_script_bad_value_is_a_usage_error(script, flags, says):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

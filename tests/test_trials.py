@@ -87,6 +87,11 @@ def test_naive_policy_ignores_calibration():
     assert (agg.penalties == 0).all()
 
 
+def test_protocol_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        TrialProtocol(n_trials=1, cal_size=10, eval_size=10, seed=-1)
+
+
 def test_tuned_policy_requires_tune_split():
     m = dirichlet_matrix(300, 8, seed=7, concentration=0.8)
     pol = MethodPolicy(MethodSpec("raps", 0.2), tune_objective="size")
