@@ -57,3 +57,42 @@ def test_permuting_classes_keeps_sizes_and_maps_perm(n, k, seed, alpha, randomiz
         a = fit_model(ss, labels, spec, seed=2)
         b = fit_model(ss2, new_index[labels], spec, seed=2)
         assert np.array_equal(set_sizes(b, ss2, u), set_sizes(a, ss, u))
+
+
+def _sparse_float32_rows(rng, n, k):
+    """n probability rows of k classes with many exact zeros, rounded to
+    float32 as a binary score file stores them."""
+    raw = rng.gamma(0.1, size=(n, k)) * (rng.random((n, k)) < 0.6)
+    raw[np.arange(n), rng.integers(0, k, n)] += 1e-3
+    return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
+
+
+@given(n_cal=st.integers(1, 40), n_new=st.integers(1, 40), k=st.integers(2, 8),
+       seed=st.integers(0, 2**16), alphas=st.lists(ALPHAS, min_size=2, max_size=2, unique=True),
+       rows=st.sampled_from(["tie_free", "integer_ties", "sparse_float32"]))
+def test_a_larger_alpha_never_gives_a_larger_deterministic_set(
+    n_cal, n_new, k, seed, alphas, rows
+):
+    rng = np.random.default_rng(seed)
+
+    def sorted_split(n):
+        if rows == "sparse_float32":
+            probs = _sparse_float32_rows(rng, n, k)
+        else:
+            probs = _rows(rng, n, k, ties=rows == "integer_ties")
+        labels = rng.integers(0, k, n)
+        return sort_scores(ScoreMatrix(probs, labels, "probabilities"), seed), labels
+
+    cal, labels = sorted_split(n_cal)
+    new, _ = sorted_split(n_new)
+    small, large = sorted(alphas)
+    for method, penalty, kreg, inclusive in (
+        ("aps", 0.0, 1, False), ("aps", 0.0, 1, True), ("raps", 0.05, 2, False),
+        ("raps", 0.05, 2, True), ("lac", 0.0, 1, False), ("naive", 0.0, 1, False),
+    ):
+        sizes = [
+            set_sizes(fit_model(cal, labels, MethodSpec(method, alpha, penalty, kreg, False,
+                                                        inclusive), seed=2), new)
+            for alpha in (small, large)
+        ]
+        assert (sizes[1] <= sizes[0]).all(), (method, inclusive)
