@@ -60,15 +60,15 @@ def _input(tmp_path, kind, fmt):
 
 def _run_all(out, path, kind):
     temp = ["--temperature", "0.7"] if kind == "logits" else []
-    runs = [
-        ["calibrate", "--method", "raps", "--lambda", "0.05", "--k-reg", "2", "--seed", "4"],
-        ["tune", "--seed", "5"],
-        ["tune", "--tune-objective", "adaptiveness", "--seed", "5"],
-        ["evaluate", "--model", str(out / "calibrate" / "model.txt"), "--strata", "0-1,2-7",
-         "--seed", "6"],
-    ]
-    for i, argv in enumerate(runs):
-        name = argv[0] if i != 2 else "tune_adapt"
+    runs = {
+        "cal": ["calibrate", "--method", "raps", "--lambda", "0.05", "--k-reg", "2",
+                "--seed", "4"],
+        "tune_size": ["tune", "--seed", "5"],
+        "tune_adapt": ["tune", "--tune-objective", "adaptiveness", "--seed", "5"],
+        "eval": ["evaluate", "--model", str(out / "cal" / "model.txt"), "--strata", "0-1,2-7",
+                 "--seed", "6"],
+    }
+    for name, argv in runs.items():
         assert main([*argv, "--input", path, *temp, "--out", str(out / name)]) == 0
 
 
