@@ -5,10 +5,11 @@ directory and with relative paths, so the listing depends only on the code
 under test. Every command is covered: `synth`, `ingest`, `fit-temp`,
 `calibrate` for each method (randomized, deterministic, boundary-inclusive
 and on logits), `predict` on binary and CSV input, `evaluate` with and
-without `--strata`, `tune` with both objectives, `calibrate`, `evaluate`,
-`tune` and `predict` on a logit file of four row blocks, `calibrate` and
-`evaluate` on CSV input, and five `experiment` variants, one of them the
-(k_reg, lambda) sweep on a sparse K=100 pool.
+without `--strata`, `tune` with both objectives (also on the tie-heavy
+file), `calibrate`, `evaluate`, `tune` and `predict` on a logit file of four
+row blocks, `calibrate` and `evaluate` on CSV input, and six `experiment`
+variants, one of them on the tie-heavy file and one the (k_reg, lambda)
+sweep on a sparse K=100 pool.
 To check that a change keeps every output byte, run it against each
 checkout and diff the two listings:
 
@@ -90,11 +91,18 @@ def flows():
     yield ["tune", "--input", "cal/observed.bin", "--out", "tune_size"]
     yield ["tune", "--input", "cal/observed.bin", "--tune-objective", "adaptiveness",
            "--strata", "0-1,2-5,6-50", "--out", "tune_adapt"]
+    # Most labels of ties.bin tie another class, so their ranks come from the
+    # seeded tie order.
+    yield ["tune", "--input", "ties.bin", "--seed", "13", "--out", "tune_ties"]
+    yield ["tune", "--input", "ties.bin", "--tune-objective", "adaptiveness",
+           "--strata", "0-1,2-4,5-20", "--seed", "14", "--out", "tune_ties_adapt"]
     yield [*SMALL_EXPERIMENT, "--tune-size", "300", "--seed", "5", "--out", "exp"]
     yield [*SMALL_EXPERIMENT, "--lambda", "0.05", "--k-reg", "2", "--no-sweep", "--out",
            "exp_fixed"]
     yield [*SMALL_EXPERIMENT, "--tune-size", "300", "--tune-objective", "adaptiveness",
            "--strata", "0-1,2-4,5-50", "--deterministic", "--no-sweep", "--out", "exp_adapt"]
+    yield ["experiment", "--input", "ties.bin", "--trials", "2", "--tune-size", "300",
+           "--cal-size", "500", "--eval-size", "600", "--seed", "15", "--out", "exp_ties"]
     yield ["experiment", "--input", "logits.bin", "--methods", "aps,raps,lac",
            "--trials", "3", "--tune-size", "400", "--cal-size", "600", "--eval-size", "800",
            "--platt-split", "tuning", "--no-sweep", "--out", "exp_logits"]
