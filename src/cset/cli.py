@@ -38,7 +38,7 @@ from .reports import (
 )
 from .score_store import (
     DataError,
-    SortedScores,
+    ScoreMatrix,
     _kv,
     load_scores,
     open_scores,
@@ -143,10 +143,10 @@ def _write_tables(outdir: str, result, suffix: str = "") -> None:
         Path(_out(outdir, f"{kind}{suffix}.csv")).write_text(render(result))
 
 
-def _open_sorted(args):
-    """--input as ScoreBlocks, and a generator of (first row, SortedScores) that
-    softmaxes logit blocks at --temperature (given for logits only) and sorts
-    each as the whole matrix's sort would; it reads no block until started."""
+def _open_probabilities(args):
+    """--input as ScoreBlocks, and a generator of its (first row, probability
+    block) that softmaxes logit blocks at --temperature (given for logits
+    only); it reads no block until started."""
     scores = open_scores(args.input)
     if scores.kind == "probabilities":
         if args.temperature is not None:
@@ -158,22 +158,19 @@ def _open_sorted(args):
 
     def walk():
         for lo, block in scores:
-            if block.kind == "logits":
-                block = softmax(block, args.temperature)
-            yield lo, sort_scores(block, args.seed, first_row=lo)
+            yield lo, softmax(block, args.temperature) if block.kind == "logits" else block
 
     return scores, walk()
 
 
 def _load_sorted(args):
-    """(labels, SortedScores) of the whole of --input, joined from its sorted blocks."""
-    scores, blocks = _open_sorted(args)
-    shape = (scores.n, scores.n_classes)
-    srt, perm, cumsum = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape)
-    for lo, ss in blocks:
-        hi = lo + ss.n
-        srt[lo:hi], perm[lo:hi], cumsum[lo:hi] = ss.sorted, ss.perm, ss.cumsum
-    return scores.labels, SortedScores(srt, perm, cumsum)
+    """(labels, SortedScores) of --input: its probability blocks joined, then sorted."""
+    scores, blocks = _open_probabilities(args)
+    probs = np.empty((scores.n, scores.n_classes))
+    for lo, block in blocks:
+        probs[lo:lo + block.n] = block.scores
+    m = ScoreMatrix._trusted(probs, scores.labels, "probabilities")
+    return scores.labels, sort_scores(m, args.seed)
 
 
 def _synth_spec(args, n: int, k: int) -> SynthSpec:
@@ -256,15 +253,16 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    """Write predictions.csv one sorted row block at a time (see _open_sorted).
+    """Write predictions.csv one row block at a time (see _open_probabilities).
 
-    Each block is sized with its slice of the one stream of u draws, so the
-    file is the same as one pass over the whole matrix would give. The
-    lines go to a partial file that replaces predictions.csv only once
-    every block is done, so a bad row anywhere leaves no predictions.csv.
+    Each block is sorted from its first row and sized with its slice of the
+    one stream of u draws, so the file is the same as one pass over the
+    whole matrix would give. The lines go to a partial file that replaces
+    predictions.csv only once every block is done, so a bad row anywhere
+    leaves no predictions.csv.
     """
     model = load_model(args.model)
-    scores, blocks = _open_sorted(args)
+    scores, blocks = _open_probabilities(args)
     if model.n_classes != scores.n_classes:
         raise DataError(
             f"model was calibrated for K={model.n_classes}, scores have K={scores.n_classes}"
@@ -275,13 +273,14 @@ def cmd_predict(args) -> int:
     total = 0
     try:
         with open(partial, "w") as fh:
-            for lo, ss in blocks:
+            for lo, block in blocks:
+                ss = sort_scores(block, args.seed, first_row=lo)
                 u = u_rng.random(ss.n) if u_rng is not None else None
                 sizes = set_sizes(model, ss, u)
                 total += int(sizes.sum())
                 fh.writelines(
-                    ",".join(map(str, [lo + i, size, *ss.perm[i, :size].tolist()])) + "\n"
-                    for i, size in enumerate(sizes.tolist())
+                    ",".join(map(str, [lo + i, size, *classes.tolist()])) + "\n"
+                    for i, (size, classes) in enumerate(zip(sizes.tolist(), ss.top_classes(sizes)))
                 )
         os.replace(partial, path)
     finally:

@@ -142,19 +142,29 @@ class SortedScores:
     ``sorted[i, j]`` is the (j+1)-th largest probability of row i,
     ``perm[i, j]`` the class index it came from, and ``cumsum`` the running
     row prefix sums. Equal probabilities are ordered by seeded random keys
-    inside :func:`sort_scores`, so ``perm`` rows are always true
-    permutations and a given seed always yields the same order.
+    (see :func:`sort_scores`), so ``perm`` rows are always true
+    permutations and a given seed always yields the same order. ``perm`` is
+    built from the kept probabilities when first read.
     """
 
     sorted: np.ndarray
-    perm: np.ndarray
+    _perm: np.ndarray | None
     cumsum: np.ndarray
+    # The probabilities sorted, the tie-key seed, and each row's key-stream row.
+    _probs: np.ndarray | None = field(default=None, repr=False)
+    _seed: int = 0
+    _rows: np.ndarray | None = field(default=None, repr=False)
     # (copy of the last labels ranked, their ranks); see label_ranks.
     _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for arr in (self.sorted, self.perm, self.cumsum):
-            arr.setflags(write=False)
+        if self._probs is None:  # perm is given: scatter the sorted cells back
+            probs = np.empty_like(self.sorted)
+            np.put_along_axis(probs, self._perm, self.sorted, axis=1)
+            object.__setattr__(self, "_probs", probs)
+        for arr in (self.sorted, self._perm, self.cumsum, self._probs):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -164,21 +174,33 @@ class SortedScores:
     def n_classes(self) -> int:
         return self.sorted.shape[1]
 
+    @property
+    def perm(self) -> np.ndarray:
+        """Class index of each sorted cell: built on first read, then kept."""
+        if self._perm is None:
+            perm = _tie_ordered(self._probs, self._seed, self._rows)
+            perm.setflags(write=False)
+            object.__setattr__(self, "_perm", perm)
+        return self._perm
+
     def take(self, idx: np.ndarray) -> "SortedScores":
-        """Row subset in the given order; an index array copies each array once."""
-        return SortedScores(self.sorted[idx], self.perm[idx], self.cumsum[idx])
+        """Row subset in the given order; copies each array once, builds no perm."""
+        perm, rows = (None if a is None else a[idx] for a in (self._perm, self._rows))
+        return SortedScores(self.sorted[idx], perm, self.cumsum[idx], self._probs[idx],
+                            self._seed, rows)
 
     def label_ranks(self, labels: np.ndarray) -> np.ndarray:
         """1-based rank of each row's label in that row's sorted order.
 
         The result is read-only and memoized for the last labels ranked,
         compared by value against a private copy, so calibration, tuning
-        and measurement on one split rank the labels once. Each label is
-        found in its row of ``perm`` one row block at a time, so the extra
-        memory is one block, not n x K. A label outside [0, K) is a
-        DataError (it is in no row, and the search would return rank 1).
+        and measurement on one split rank the labels once. A rank counts the
+        larger cells of the row, one row block at a time, so the extra
+        memory is one block, not n x K; only a label that ties another cell
+        is found in its row of ``perm``. A label outside [0, K) is a
+        DataError.
         """
-        n, k = self.perm.shape
+        n, k = self.sorted.shape
         labels = np.asarray(labels)
         _check(labels.shape == (n,), "labels must be one integer per row")
         if self._ranked is not None:
@@ -186,15 +208,37 @@ class SortedScores:
             if seen.dtype == labels.dtype and np.array_equal(seen, labels):
                 return ranks
         _check_labels(labels, k)
+        at = np.arange(n)
+        p_y = self._probs[at, labels]
         rows = max(1, _BLOCK_CELLS // k)
-        ranks = np.empty(n, dtype=self.perm.dtype)
+        ranks = np.empty(n, dtype=np.intp)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            ranks[lo:hi] = np.argmax(self.perm[lo:hi] == labels[lo:hi, None], axis=1)
+            ranks[lo:hi] = np.count_nonzero(self._probs[lo:hi] > p_y[lo:hi, None], axis=1)
+        # The label's run of equal values starts at its count.
+        tied = np.flatnonzero(
+            (ranks < k - 1) & (self.sorted[at, np.minimum(ranks + 1, k - 1)] == p_y))
+        ranks[tied] = np.argmax(self.take(tied).perm == labels[tied, None], axis=1)
         ranks += 1
         ranks.setflags(write=False)
         object.__setattr__(self, "_ranked", (labels.copy(), ranks))
         return ranks
+
+    def top_classes(self, sizes: np.ndarray) -> list[np.ndarray]:
+        """``perm[i, :sizes[i]]`` of every row i. A row with no tie in those
+        cells or at their edge lists its cells at or above the last one by
+        descending probability, without ``perm``."""
+        n, k = self.sorted.shape
+        equal = self.sorted[:, 1:] == self.sorted[:, :-1]
+        tied = (equal & (np.arange(k - 1) < sizes[:, None])).any(axis=1)
+        edge = self.sorted[np.arange(n), np.maximum(sizes - 1, 0)]
+        r, c = np.nonzero((self._probs >= edge[:, None]) & ((sizes > 0) & ~tied)[:, None])
+        out = np.empty(int(sizes.sum()), dtype=np.intp)
+        from_perm = np.repeat(tied, sizes)
+        out[~from_perm] = c[np.lexsort((-self._probs[r, c], r))]
+        tied = np.flatnonzero(tied)
+        out[from_perm] = self.take(tied).perm[np.arange(k) < sizes[tied, None]]
+        return np.split(out, np.cumsum(sizes)[:-1])
 
 
 def check_temperature(temperature: float) -> None:
@@ -228,44 +272,57 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0) -> SortedScor
     of cell (i, j) of ``m`` is draw ``(first_row + i) * K + j`` of the
     substream (seed, TIEBREAK), so the outcome does not depend on processing
     order, and the rows lo:hi of a matrix sorted with ``first_row=lo`` give
-    exactly rows lo:hi of the whole matrix's sort. Rows are sorted in
-    blocks of ``_SORT_BLOCK_ROWS``; keys are drawn only for blocks that hold
-    a tied row, at the same stream offsets (the stream skips past the
-    others), and are used only inside runs of equal values. The result is
-    therefore exactly ``np.lexsort((keys, -scores), axis=1)`` over the full
-    n x K key matrix, so seeded results match earlier releases, while the
-    extra memory stays bounded by one block.
+    exactly rows lo:hi of the whole matrix's sort. ``perm`` is therefore
+    exactly ``np.lexsort((keys, -scores), axis=1)`` over the full n x K key
+    matrix, so seeded results match earlier releases.
+
+    Only the values are sorted, in blocks of ``_SORT_BLOCK_ROWS`` rows. Equal
+    values have equal bits, save -0.0 and 0.0, so ties show in neither
+    ``sorted`` nor ``cumsum``; a block with a -0.0 is gathered through the
+    tie order. The result keeps the probabilities to build ``perm`` from.
     """
     if m.kind != "probabilities":
         raise ValueError("sort_scores expects probabilities; apply softmax first")
     if first_row < 0:
         raise ValueError(f"first_row must be nonnegative, got {first_row}")
     n, k = m.scores.shape
-    perm = np.empty((n, k), dtype=np.intp)
+    rows = np.arange(first_row, first_row + n)
     srt = np.empty((n, k))
     cumsum = np.empty((n, k))
-    tie_rng = seeds.rng(seed, seeds.TIEBREAK)
-    tie_rng.bit_generator.advance(first_row * k)
     for lo in range(0, n, _SORT_BLOCK_ROWS):
         hi = min(lo + _SORT_BLOCK_ROWS, n)
         block = m.scores[lo:hi]
+        if np.signbit(block).any():
+            srt[lo:hi] = np.take_along_axis(block, _tie_ordered(block, seed, rows[lo:hi]), 1)
+        else:
+            srt[lo:hi] = np.sort(block, axis=1)[:, ::-1]
+        np.cumsum(srt[lo:hi], axis=1, out=cumsum[lo:hi])
+    return SortedScores(srt, None, cumsum, m.scores, seed, rows)
+
+
+def _tie_ordered(scores: np.ndarray, seed: int, rows: np.ndarray) -> np.ndarray:
+    """perm of some probability rows, equal cells ordered by :func:`_order_ties`
+    on the keys of row ``rows[i]`` of the key stream (see :func:`sort_scores`)."""
+    n, k = scores.shape
+    perm = np.empty((n, k), dtype=np.intp)
+    rng = seeds.rng(seed, seeds.TIEBREAK)
+    start = rng.bit_generator.state
+    for lo in range(0, n, _SORT_BLOCK_ROWS):
+        block, order = scores[lo:lo + _SORT_BLOCK_ROWS], perm[lo:lo + _SORT_BLOCK_ROWS]
         # An unstable ascending sort, reversed, is right up to the order
         # inside runs of equal values, which _order_ties sets.
-        perm[lo:hi] = np.argsort(block, axis=1)[:, ::-1]
-        # Same values as gathering through perm, except that equal cells
-        # (the only ones whose bits may differ: -0.0 and 0.0) can land in
-        # another order; _order_ties gathers those cells again.
-        srt[lo:hi] = np.sort(block, axis=1)[:, ::-1]
-        equal = srt[lo:hi, 1:] == srt[lo:hi, :-1]
-        if equal.any():
-            keys = tie_rng.random((hi - lo, k))
-            _order_ties(perm[lo:hi], srt[lo:hi], block, keys, equal)
-        else:
+        order[:] = np.argsort(block, axis=1)[:, ::-1]
+        srt = np.take_along_axis(block, order, axis=1)
+        equal = srt[:, 1:] == srt[:, :-1]
+        keys = np.empty(block.shape)  # read in tied rows only
+        for i in np.flatnonzero(equal.any(axis=1)).tolist():
             # random() takes one 64-bit step per float64, so this skips
-            # exactly the keys of this block.
-            tie_rng.bit_generator.advance((hi - lo) * k)
-        np.cumsum(srt[lo:hi], axis=1, out=cumsum[lo:hi])
-    return SortedScores(srt, perm, cumsum)
+            # exactly the keys of the rows before.
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(int(rows[lo + i]) * k)
+            keys[i] = rng.random(k)
+        _order_ties(order, srt, block, keys, equal)
+    return perm
 
 
 def _order_ties(perm, srt, scores, keys, equal) -> None:

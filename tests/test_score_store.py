@@ -422,6 +422,61 @@ def test_order_ties_breaks_equal_keys_by_class_index():
     np.testing.assert_array_equal(perm, [[1, 2, 3, 0]])
 
 
+def _with_signed_zeros(m, seed):
+    """m with about half of its zero cells turned to -0.0."""
+    x = m.scores.copy()
+    x[(x == 0) & (np.random.default_rng(seed).random(x.shape) < 0.5)] = -0.0
+    return ScoreMatrix(x, m.labels, "probabilities")
+
+
+def _unbuilt_sorts(shape, n, k, seed, signed, lo):
+    """m, its lexsort perm, and two sorts of some of its rows whose perm is
+    not built: rows lo: sorted from first_row=lo, and those rows shuffled
+    by take. Each sort comes with the rows of m it holds."""
+    m = _rows(shape, n, k, seed)
+    if signed:
+        m = _with_signed_zeros(m, seed)
+    perm, _, _ = _lexsort_reference(m, seed)
+    part = cset.sort_scores(m.take(np.arange(lo, n)), seed=seed, first_row=lo)
+    order = np.random.default_rng(seed).permutation(n - lo)
+    return m, perm, [(part, np.arange(lo, n)), (part.take(order), lo + order)]
+
+
+SORTS = (
+    st.sampled_from(ROW_SHAPES),
+    st.integers(1, 2 * _SORT_BLOCK_ROWS + 9),
+    st.sampled_from([2, 5, 11]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.data(),
+)
+
+
+@given(*SORTS)
+def test_counted_label_ranks_match_the_perm_oracle(shape, n, k, seed, signed, data):
+    lo = data.draw(st.integers(0, n - 1))
+    m, perm, sorts = _unbuilt_sorts(shape, n, k, seed, signed, lo)
+    for ss, rows in sorts:
+        ranks = ss.label_ranks(m.labels[rows])  # before perm is built
+        want = _whole_matrix_ranks(perm[rows], m.labels[rows])
+        assert ranks.dtype == want.dtype
+        np.testing.assert_array_equal(ranks, want)
+        np.testing.assert_array_equal(ranks, _whole_matrix_ranks(ss.perm, m.labels[rows]))
+
+
+@given(*SORTS)
+def test_top_classes_are_the_perm_prefixes(shape, n, k, seed, signed, data):
+    lo = data.draw(st.integers(0, n - 1))
+    _, perm, sorts = _unbuilt_sorts(shape, n, k, seed, signed, lo)
+    for ss, rows in sorts:
+        sizes = np.random.default_rng(seed).integers(0, k + 1, ss.n)
+        got = ss.top_classes(sizes)  # before perm is built
+        assert len(got) == ss.n
+        for classes, row, size in zip(got, rows, sizes):
+            assert classes.dtype == perm.dtype
+            np.testing.assert_array_equal(classes, perm[row, :size])
+
+
 @given(
     st.sampled_from(ROW_SHAPES),
     st.integers(2, 2 * _SORT_BLOCK_ROWS + 9),
