@@ -306,12 +306,14 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     rand = not args.deterministic
     # --lambda fixes the raps penalty (with --k-reg), else both are tuned per trial.
-    # A raps flag that reaches no model, or a synthetic flag with --input, is refused.
+    # Refuse raps flags reaching no model, synthetic flags with --input, a fit-free --platt-split.
     unused = {"--lambda": args.penalty, "--k-reg": args.k_reg,
               "--tune-objective": args.tune_objective, "--lambda-grid": args.lambda_grid}
     if args.input:
         unused.update({"--n": args.n, "--k": args.k, "--concentration": args.concentration,
                        "--corruption": args.corruption, "--corruption-param": args.corruption_param})
+    elif args.platt_split == "tuning":
+        unused["--platt-split"] = args.platt_split
     policies: dict[str, MethodPolicy] = {}
     for name in args.methods:
         if name != "raps":
@@ -328,10 +330,13 @@ def cmd_experiment(args) -> int:
     if stray:
         raise ValueError(f"{', '.join(stray)} would reach no model (raps flags need raps in "
                          "--methods; --k-reg needs --lambda; the tuning flags need it unset; "
-                         "the synthetic flags need no --input)")
+                         "the synthetic flags need no --input; --platt-split tuning needs "
+                         "logits from --input)")
 
     if args.input:
         m = load_scores(args.input)
+        if m.kind == "probabilities" and args.platt_split == "tuning":
+            raise ValueError("--platt-split tuning only applies to logit inputs")
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
         _, m = generate(_synth_spec(args, pool, args.k or 100))

@@ -883,3 +883,31 @@ def test_unset_synthetic_flags_take_the_generator_defaults(tmp_path, command):
     for path in (tmp_path / "a").iterdir():
         if path.name != "config_used.json":
             assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_experiment_refuses_platt_split_tuning_on_synthetic_data_before_generating(
+        tmp_path, capsys, monkeypatch):
+    # synthetic data are probabilities, so no temperature is fitted anywhere
+    def no_data(*_):
+        raise AssertionError("data generated before the flags were checked")
+
+    monkeypatch.setattr("cset.cli.generate", no_data)
+    out = tmp_path / "x"
+    code = run(["experiment", "--k", "5", "--trials", "1", "--cal-size", "50",
+                "--eval-size", "50", "--tune-size", "0", "--methods", "aps,naive", "--no-sweep",
+                "--platt-split", "tuning", "--out", str(out)])
+    assert code == 2
+    assert "--platt-split would reach no model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_refuses_platt_split_tuning_on_a_probability_input(tmp_path, capsys):
+    _, m = cset.generate(cset.SynthSpec(n=200, n_classes=10, seed=1))
+    cset.save_scores(m, str(tmp_path / "d.bin"), "binary")
+    out = tmp_path / "x"
+    code = run(["experiment", "--input", str(tmp_path / "d.bin"), "--trials", "1",
+                "--tune-size", "50", "--cal-size", "50", "--eval-size", "50", "--methods", "aps",
+                "--no-sweep", "--platt-split", "tuning", "--out", str(out)])
+    assert code == 2
+    assert "--platt-split tuning only applies to logit inputs" in capsys.readouterr().err
+    assert not out.exists()
