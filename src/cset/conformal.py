@@ -354,7 +354,7 @@ def predict(model: ConformalModel, ss: SortedScores, row: int, u: float | None =
     u = u if model.spec.randomized else None
     u_arr = None if u is None else np.array([u])
     size = int(set_sizes(model, ss.take(np.array([row])), u_arr)[0])
-    classes = tuple(int(c) for c in ss.perm[row, :size])
+    classes = tuple(ss.take(np.array([row])).perm[0, :size].tolist())  # that row's perm alone
     return PredictionSet(classes, u)
 
 
