@@ -144,9 +144,8 @@ def _write_tables(outdir: str, result, suffix: str = "") -> None:
 
 
 def _open_probabilities(args):
-    """--input as ScoreBlocks, and a generator of its (first row, probability
-    block) that softmaxes logit blocks at --temperature (given for logits
-    only); it reads no block until started."""
+    """--input as ScoreBlocks, and a generator of its (first row, probability block),
+    logits softmaxed at --temperature (given for logits only); it reads nothing until started."""
     scores = open_scores(args.input)
     if scores.kind == "probabilities":
         if args.temperature is not None:
@@ -279,7 +278,7 @@ def cmd_predict(args) -> int:
                 sizes = set_sizes(model, ss, u)
                 total += int(sizes.sum())
                 fh.writelines(
-                    ",".join(map(str, [lo + i, size, *classes.tolist()])) + "\n"
+                    ",".join(map(str, [lo + i, size, *classes])) + "\n"
                     for i, (size, classes) in enumerate(zip(sizes.tolist(), ss.top_classes(sizes)))
                 )
         os.replace(partial, path)

@@ -158,9 +158,8 @@ class SortedScores:
     _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self._probs is None:  # perm is given: scatter the sorted cells back
-            probs = np.empty_like(self.sorted)
-            np.put_along_axis(probs, self._perm, self.sorted, axis=1)
+        if self._probs is None:  # perm is given: unsort the sorted cells
+            probs = np.take_along_axis(self.sorted, np.argsort(self._perm, axis=1), axis=1)
             object.__setattr__(self, "_probs", probs)
         for arr in (self.sorted, self._perm, self.cumsum, self._probs):
             if arr is not None:
@@ -178,9 +177,7 @@ class SortedScores:
     def perm(self) -> np.ndarray:
         """Class index of each sorted cell: built on first read, then kept."""
         if self._perm is None:
-            perm = _tie_ordered(self._probs, self._seed, self._rows)
-            perm.setflags(write=False)
-            object.__setattr__(self, "_perm", perm)
+            object.__setattr__(self, "_perm", _tie_ordered(self._probs, self._seed, self._rows))
         return self._perm
 
     def take(self, idx: np.ndarray) -> "SortedScores":
@@ -218,27 +215,31 @@ class SortedScores:
         # The label's run of equal values starts at its count.
         tied = np.flatnonzero(
             (ranks < k - 1) & (self.sorted[at, np.minimum(ranks + 1, k - 1)] == p_y))
-        ranks[tied] = np.argmax(self.take(tied).perm == labels[tied, None], axis=1)
+        if tied.size:
+            ranks[tied] = np.argmax(self.take(tied).perm == labels[tied, None], axis=1)
         ranks += 1
         ranks.setflags(write=False)
         object.__setattr__(self, "_ranked", (labels.copy(), ranks))
         return ranks
 
-    def top_classes(self, sizes: np.ndarray) -> list[np.ndarray]:
-        """``perm[i, :sizes[i]]`` of every row i. A row with no tie in those
-        cells or at their edge lists its cells at or above the last one by
-        descending probability, without ``perm``."""
+    def top_classes(self, sizes: np.ndarray) -> list[list[int]]:
+        """``perm[i, :sizes[i]]`` of every row i, as lists. A row with no tie
+        in those cells or at their edge lists its cells at or above the last
+        one by descending probability, without ``perm``."""
         n, k = self.sorted.shape
-        equal = self.sorted[:, 1:] == self.sorted[:, :-1]
-        tied = (equal & (np.arange(k - 1) < sizes[:, None])).any(axis=1)
-        edge = self.sorted[np.arange(n), np.maximum(sizes - 1, 0)]
-        r, c = np.nonzero((self._probs >= edge[:, None]) & ((sizes > 0) & ~tied)[:, None])
+        m = min(k, int(sizes.max(initial=0)) + 1)  # no set reaches past column m - 1
+        tied = ((self.sorted[:, 1:m] == self.sorted[:, :m - 1])
+                & (np.arange(m - 1) < sizes[:, None])).any(axis=1)
+        edge = np.where((sizes > 0) & ~tied, self.sorted[np.arange(n), sizes - 1], np.inf)
+        r, c = np.divmod(np.flatnonzero(self._probs >= edge[:, None]), k)
         out = np.empty(int(sizes.sum()), dtype=np.intp)
         from_perm = np.repeat(tied, sizes)
         out[~from_perm] = c[np.lexsort((-self._probs[r, c], r))]
-        tied = np.flatnonzero(tied)
-        out[from_perm] = self.take(tied).perm[np.arange(k) < sizes[tied, None]]
-        return np.split(out, np.cumsum(sizes)[:-1])
+        if tied.any():
+            tied = np.flatnonzero(tied)
+            out[from_perm] = self.take(tied).perm[np.arange(k) < sizes[tied, None]]
+        flat, ends = out.tolist(), np.cumsum(sizes).tolist()
+        return [flat[end - size:end] for size, end in zip(sizes.tolist(), ends)]
 
 
 def check_temperature(temperature: float) -> None:
@@ -316,12 +317,12 @@ def _tie_ordered(scores: np.ndarray, seed: int, rows: np.ndarray) -> np.ndarray:
         equal = srt[:, 1:] == srt[:, :-1]
         keys = np.empty(block.shape)  # read in tied rows only
         for i in np.flatnonzero(equal.any(axis=1)).tolist():
-            # random() takes one 64-bit step per float64, so this skips
-            # exactly the keys of the rows before.
+            # random() takes one 64-bit step per float64: skip the rows before.
             rng.bit_generator.state = start
             rng.bit_generator.advance(int(rows[lo + i]) * k)
             keys[i] = rng.random(k)
         _order_ties(order, srt, block, keys, equal)
+    perm.setflags(write=False)
     return perm
 
 
