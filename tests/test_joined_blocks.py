@@ -1,8 +1,8 @@
-"""calibrate, tune and evaluate sort their input in row blocks and join them.
+"""calibrate, tune and evaluate read their input in row blocks and join them.
 
 The joined rows must give the bytes of a single block, a bad score is
-reported from the first block that holds one, and the probability matrix is
-never held whole next to the sorted arrays.
+reported from the first block that holds one, and nothing n x K is held
+beside the probabilities, the sorted values and their prefix sums.
 """
 
 import struct
@@ -123,6 +123,6 @@ def test_the_probability_matrix_is_never_held_whole(tmp_path, command):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # The sorted, perm and cumsum arrays take 24 bytes a cell; a whole
-    # float64 probability matrix beside them would add 8 more.
+    # The probability, sorted and cumsum arrays take 24 bytes a cell; a perm
+    # or a second float64 matrix beside them would add 8 more.
     assert peak / (n * k) < 30, f"traced peak {peak / (n * k):.1f} bytes per cell"
