@@ -9,7 +9,10 @@ without `--strata`, `tune` with both objectives (also on the tie-heavy
 file), `calibrate`, `evaluate`, `tune` and `predict` on a logit file of four
 row blocks, `calibrate` and `evaluate` on CSV input, and six `experiment`
 variants, one of them on the tie-heavy file and one the (k_reg, lambda)
-sweep on a sparse K=100 pool.
+sweep on a sparse K=100 pool. Last come the generator's block walk:
+`synth` with the temperature corruption, `synth` at K=1000 where about half
+of each row's cells clip to one value, and a synthetic `experiment` whose
+tail_permute rows are split between tied and tie-free ones.
 To check that a change keeps every output byte, run it against each
 checkout and diff the two listings:
 
@@ -110,6 +113,16 @@ def flows():
     # 2000 evaluation rows over four of its 655-row blocks at K=100.
     yield ["experiment", "--input", "sparse.bin", "--trials", "2", "--tune-size", "300",
            "--cal-size", "500", "--eval-size", "2000", "--seed", "6", "--out", "exp_sparse"]
+    # The z_ names keep these runs last in the listing. Each spans several
+    # row blocks of synth.generate, the last one partial.
+    yield ["synth", "--n", "2000", "--k", "50", "--corruption", "temperature",
+           "--corruption-param", "2", "--seed", "17", "--out", "z_synth_temp"]
+    yield ["synth", "--n", "150", "--k", "1000", "--concentration", "1", "--corruption",
+           "tail_permute", "--corruption-param", "1", "--seed", "18", "--out", "z_synth_clip"]
+    yield ["experiment", "--k", "100", "--n", "1500", "--concentration", "0.5",
+           "--corruption", "tail_permute", "--corruption-param", "5", "--trials", "2",
+           "--tune-size", "300", "--cal-size", "500", "--eval-size", "700", "--no-sweep", "--seed", "16",
+           "--out", "z_exp_synth"]
 
 
 def write_inputs() -> None:
