@@ -338,7 +338,7 @@ def cmd_experiment(args) -> int:
             raise ValueError("--platt-split tuning only applies to logit inputs")
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
-        _, m = generate(_synth_spec(args, pool, args.k or 100))
+        m = generate(_synth_spec(args, pool, args.k or 100))[1]  # the truth is not kept
 
     protocol = TrialProtocol(
         n_trials=args.trials,

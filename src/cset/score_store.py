@@ -86,8 +86,8 @@ class ScoreMatrix:
     def n_classes(self) -> int:
         return self.scores.shape[1]
 
-    def take(self, idx: np.ndarray) -> "ScoreMatrix":
-        """Row subset (copy) in the given order."""
+    def take(self, idx: np.ndarray | slice) -> "ScoreMatrix":
+        """Row subset in the given order: a copy for an index array, a view for a slice."""
         return ScoreMatrix._trusted(self.scores[idx], self.labels[idx], self.kind)
 
 

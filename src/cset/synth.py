@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import seeds
+from . import score_store, seeds
 from .conformal import MethodSpec, calibrate, naive_model, set_sizes
 from .score_store import ScoreMatrix, sort_scores
 
@@ -72,45 +72,65 @@ def generate(spec: SynthSpec) -> tuple[ScoreMatrix, ScoreMatrix]:
 
     Dirichlet rows come from normalized gamma variates. Only the statistical
     law is contractual across platforms, but a given numpy build is
-    bit-reproducible for a given seed.
+    bit-reproducible for a given seed. The rows are made in blocks of about
+    ``score_store._BLOCK_CELLS`` cells; each stream is drawn in the order of
+    one whole-matrix draw, so the bits do not depend on the block size, and
+    memory is the two n x K results plus one block.
     """
     n, k = spec.n, spec.n_classes
-    gen = seeds.rng(spec.seed, seeds.SYNTH)
-    g = gen.gamma(spec.concentration / k, 1.0, size=(n, k))
-    np.clip(g, 1e-290, None, out=g)  # keep every class mass strictly positive
-    p = g / g.sum(axis=1, keepdims=True)
-
-    r = seeds.rng(spec.seed, seeds.LABELS).random(n)
-    labels = np.minimum((np.cumsum(p, axis=1) < r[:, None]).sum(axis=1), k - 1)
-
-    # Both arrays are fresh and valid, so they are wrapped without a copy;
-    # with no corruption, truth and observed share one read-only array.
-    observed = _corrupt(p, spec)
+    gen, r_gen = seeds.rng(spec.seed, seeds.SYNTH), seeds.rng(spec.seed, seeds.LABELS)
+    key_gen = seeds.rng(spec.seed, seeds.SYNTH, 1)
+    p, labels = np.empty((n, k)), np.empty(n, dtype=np.int64)
+    # Where no value moves, truth and observed share one read-only array.
+    moves = spec.corruption == "temperature" or (
+        spec.corruption == "tail_permute" and spec.corruption_param < k - 1)
+    observed = np.empty((n, k)) if moves else p
+    rows = max(1, score_store._BLOCK_CELLS // k)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = p[lo:hi]
+        gen.standard_gamma(spec.concentration / k, out=block)  # the bits of gamma(c / k, 1.0)
+        np.clip(block, 1e-290, None, out=block)  # keep every class mass strictly positive
+        block /= block.sum(axis=1, keepdims=True)
+        below = np.cumsum(block, axis=1) < r_gen.random(hi - lo)[:, None]
+        np.minimum(below.sum(axis=1), k - 1, out=labels[lo:hi])
+        if moves:
+            _corrupt(block, spec, key_gen, observed[lo:hi])
+    # Both arrays are fresh and valid, so they are wrapped without a copy.
     return (ScoreMatrix._trusted(p, labels, "probabilities"),
             ScoreMatrix._trusted(observed, labels, "probabilities"))
 
 
-def _corrupt(p: np.ndarray, spec: SynthSpec) -> np.ndarray:
-    if spec.corruption == "none":
-        return p
+def _corrupt(p: np.ndarray, spec: SynthSpec, key_gen: np.random.Generator,
+             out: np.ndarray) -> None:
+    """Write the observed rows of the truth rows p into out; tail_permute
+    draws its keys from key_gen, one per tail rank, in row order."""
     if spec.corruption == "temperature":
         z = np.log(p) / spec.corruption_param
         z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-    # tail_permute: shuffle the values sitting at ranks > top_m of each row
+        np.exp(z, out=z)
+        np.divide(z, z.sum(axis=1, keepdims=True), out=out)
+        return
+    # tail_permute: shuffle the values sitting at ranks > top_m of each row.
+    # The ranks are those of the stable sort of -p; any sort gives that order
+    # to a row of distinct values, so only a row with a tie or a NaN needs
+    # it. A row whose least value repeats, as clipped cells do, surely ties.
     top_m = int(spec.corruption_param)
+    tied = np.count_nonzero(p == p.min(axis=1, keepdims=True), axis=1) > 1
+    s = np.sort(p[~tied], axis=1)
+    tied[~tied] = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
+    del s
+    order = np.empty(p.shape, dtype=np.intp)
+    order[~tied] = np.argsort(p[~tied], axis=1)[:, ::-1]
+    order[tied] = np.argsort(-p[tied], axis=1, kind="stable")
     n, k = p.shape
-    if top_m >= k - 1:
-        return p
-    order = np.argsort(-p, axis=1, kind="stable")
-    tail = order[:, top_m:]  # class indices at the tail ranks
-    keys = seeds.rng(spec.seed, seeds.SYNTH, 1).random(tail.shape)
-    shuffled = np.take_along_axis(tail, np.argsort(keys, axis=1), axis=1)
-    out = p.copy()
-    vals = np.take_along_axis(p, tail, axis=1)
-    np.put_along_axis(out, shuffled, vals, axis=1)
-    return out
+    order += (np.arange(n) * k)[:, None]  # flat cells, in rank order
+    # The value at tail rank j moves to the tail rank whose key is j-th smallest.
+    pick = np.argsort(key_gen.random((n, k - top_m)), axis=1)
+    pick += (np.arange(n) * k + top_m)[:, None]
+    pick = order.reshape(-1)[pick]
+    out[...] = p
+    out.reshape(-1)[pick] = p.reshape(-1)[order[:, top_m:]]
 
 
 def oracle_coverage(
@@ -145,14 +165,12 @@ def _oracle_trial(
 ) -> float:
     """Coverage of one oracle_coverage trial; its data is released on return."""
     data_spec = replace(spec, n=n_cal + n_eval, seed=seeds.child_seed(trial_seed, seeds.SYNTH))
-    _, observed = generate(data_spec)
+    observed = generate(data_spec)[1]
     if mspec.method == "naive":
         model = naive_model(mspec.alpha, observed.n_classes, mspec.randomized)
         ev = observed
     else:
-        idx = np.arange(observed.n)
-        cal = observed.take(idx[:n_cal])
-        ev = observed.take(idx[n_cal:])
+        cal, ev = observed.take(slice(n_cal)), observed.take(slice(n_cal, None))
         ss_cal = sort_scores(cal, seeds.child_seed(trial_seed, seeds.SORT, 0))
         model = calibrate(ss_cal, cal.labels, mspec, seed=trial_seed)
     ss_ev = sort_scores(ev, seeds.child_seed(trial_seed, seeds.SORT, 1))

@@ -247,9 +247,8 @@ def run_synth_trials(
         data_spec = replace(
             sspec, n=n_total, seed=seeds.child_seed(trial_seed, seeds.SYNTH)
         )
-        _, observed = generate(data_spec)
-        idx = np.arange(n_total)
-        tune_m = observed.take(idx[:a]) if a > 0 else None
-        return tune_m, observed.take(idx[a:b]), observed.take(idx[b:])
+        observed = generate(data_spec)[1]
+        tune_m = observed.take(slice(a)) if a > 0 else None
+        return tune_m, observed.take(slice(a, b)), observed.take(slice(b, None))
 
     return _run_trials(draw, protocol, policies)

@@ -2,12 +2,17 @@
 replaced, for every corruption, on shapes from 2 to 1000 classes, on
 concentrations whose rows clip (and so tie), and with any row block size."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cset import score_store, seeds
+import cset
+from cset import score_store, seeds, synth
+from cset.conformal import MethodSpec
 from cset.score_store import ScoreMatrix
-from cset.synth import SynthSpec, generate
+from cset.synth import SynthSpec, generate, oracle_coverage
+from cset.trials import run_synth_trials
 
 CONCENTRATIONS = (0.0, 1e-3, 1.0, 50.0)  # 0.0 means the 0.05 * K default
 
@@ -106,3 +111,63 @@ def test_the_grid_holds_rows_that_tie_beside_rows_that_do_not():
     s = np.sort(truth.scores, axis=1)
     tied = (s[:, 1:] == s[:, :-1]).any(axis=1)
     assert 0 < tied.sum() < len(tied)
+
+
+@pytest.mark.parametrize("top_m", [0, 1, 2, 3, 4])
+def test_rows_that_tie_anywhere_or_hold_a_nan_keep_the_stable_order(top_m):
+    # The grid's ties are clipped cells, which tie at the least value of a
+    # row. These rows tie elsewhere, hold a NaN or signed zeros, or are all
+    # one value, and share one block with rows of distinct values.
+    p = np.random.default_rng(0).random((10, 6))
+    p[1, [2, 4]] = p[1, 0]  # a tie above the least value
+    p[2] = 0.25
+    p[3, 5] = np.nan
+    p[4, [1, 3]] = 2.0  # a tie at the top
+    p[5, [0, 4]] = 0.0, -0.0
+    p[6, [0, 5]] = np.nan
+    spec = SynthSpec(n=10, n_classes=6, corruption="tail_permute", corruption_param=top_m,
+                     seed=9)
+    out = np.empty_like(p)
+    synth._corrupt(p, spec, seeds.rng(9, seeds.SYNTH, 1), out)
+    assert out.tobytes() == _reference_corrupt(p, spec).tobytes()
+
+
+def _traced_peak(fn) -> int:
+    fn()  # once untraced, so that modules numpy imports on first use are not counted
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_holds_its_two_results_and_one_block():
+    n, k = 4000, 100
+    spec = SynthSpec(n=n, n_classes=k, corruption="tail_permute", corruption_param=5, seed=1)
+    peak = _traced_peak(lambda: generate(spec))
+    # Truth and observed take 16 bytes a cell, labels a little more; one
+    # block's work is a few arrays of _BLOCK_CELLS cells, about 1.3 MB each
+    # in 8-byte cells here. The whole-matrix generator peaked at about 52.
+    assert peak / (n * k) < 24, f"traced peak {peak / (n * k):.1f} bytes per cell"
+
+
+SYNTH_K100 = SynthSpec(n=1, n_classes=100, corruption="tail_permute", corruption_param=5)
+
+
+def test_a_synthetic_trial_holds_the_observed_pool_and_no_copy_of_it():
+    protocol = cset.TrialProtocol(n_trials=1, cal_size=1000, eval_size=10000, seed=2)
+    policies = {"raps": cset.MethodPolicy(MethodSpec("raps", 0.1, penalty=0.01, kreg=5)),
+                "aps": cset.MethodPolicy(MethodSpec("aps", 0.1)),
+                "lac": cset.MethodPolicy(MethodSpec("lac", 0.1)),
+                "naive": cset.MethodPolicy(MethodSpec("naive", 0.1))}
+    peak = _traced_peak(lambda: run_synth_trials(SYNTH_K100, protocol, policies))
+    # The 11,000 x 100 pool is 8.8 MB; with the truth matrix or the split
+    # copies beside it the peak was 61 MB.
+    assert peak < 35e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_an_oracle_trial_holds_the_observed_pool_and_no_copy_of_it():
+    raps = MethodSpec("raps", 0.1, penalty=0.01, kreg=5)
+    peak = _traced_peak(lambda: oracle_coverage(SYNTH_K100, raps, 1000, 10000, 1, seed=3))
+    assert peak < 35e6, f"traced peak {peak / 1e6:.1f} MB"
