@@ -7,6 +7,9 @@ observed score row. Because the truth is known, marginal coverage of any set
 construction can be estimated to Monte-Carlo accuracy and used as an
 independent check on conformal claims.
 
+Rows are made in blocks of about ``score_store._BLOCK_CELLS`` cells, so
+generating holds the n x K truth and observed matrices plus one block.
+
 Corruptions
 -----------
 none
@@ -72,10 +75,9 @@ def generate(spec: SynthSpec) -> tuple[ScoreMatrix, ScoreMatrix]:
 
     Dirichlet rows come from normalized gamma variates. Only the statistical
     law is contractual across platforms, but a given numpy build is
-    bit-reproducible for a given seed. The rows are made in blocks of about
-    ``score_store._BLOCK_CELLS`` cells; each stream is drawn in the order of
-    one whole-matrix draw, so the bits do not depend on the block size, and
-    memory is the two n x K results plus one block.
+    bit-reproducible for a given seed, whatever the row block: each stream is
+    drawn in one whole-matrix draw's order. Memory is the two n x K results
+    plus one block of about ``score_store._BLOCK_CELLS`` cells.
     """
     n, k = spec.n, spec.n_classes
     gen, r_gen = seeds.rng(spec.seed, seeds.SYNTH), seeds.rng(spec.seed, seeds.LABELS)
@@ -119,7 +121,7 @@ def _corrupt(p: np.ndarray, spec: SynthSpec, key_gen: np.random.Generator,
     tied = np.count_nonzero(p == p.min(axis=1, keepdims=True), axis=1) > 1
     s = np.sort(p[~tied], axis=1)
     tied[~tied] = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
-    del s
+    del s  # one block array less at the peak
     order = np.empty(p.shape, dtype=np.intp)
     order[~tied] = np.argsort(p[~tied], axis=1)[:, ::-1]
     order[tied] = np.argsort(-p[tied], axis=1, kind="stable")

@@ -106,7 +106,7 @@ def test_the_first_bad_block_names_the_error(tmp_path, monkeypatch, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
-def test_the_probability_matrix_is_never_held_whole(tmp_path, command):
+def test_traced_peak_is_under_30_bytes_a_cell(tmp_path, command):
     n, k = 2000, 1000
     rng = np.random.default_rng(0)
     _write_binary(tmp_path / "logits.bin", rng.standard_normal((n, k), dtype=np.float32),
