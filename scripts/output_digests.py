@@ -12,7 +12,8 @@ variants, one of them on the tie-heavy file and one the (k_reg, lambda)
 sweep on a sparse K=100 pool. Last come the generator's block walk:
 `synth` with the temperature corruption, `synth` at K=1000 where about half
 of each row's cells clip to one value, and a synthetic `experiment` whose
-tail_permute rows are split between tied and tie-free ones.
+tail_permute rows are split between tied and tie-free ones, and an
+`experiment` on logits whose evaluation split spans several row blocks.
 To check that a change keeps every output byte, run it against each
 checkout and diff the two listings:
 
@@ -123,6 +124,11 @@ def flows():
            "--corruption", "tail_permute", "--corruption-param", "5", "--trials", "2",
            "--tune-size", "300", "--cal-size", "500", "--eval-size", "700", "--no-sweep", "--seed", "16",
            "--out", "z_exp_synth"]
+    # An experiment on the logit file whose softmaxed evaluation split spans
+    # three 1310-row blocks at K=50, the last one partial.
+    yield ["experiment", "--input", "wide.bin", "--methods", "aps,raps,lac", "--lambda", "0.02",
+           "--k-reg", "2", "--no-sweep", "--trials", "2", "--cal-size", "500",
+           "--eval-size", "3000", "--out", "z_wide_exp"]
 
 
 def write_inputs() -> None:
