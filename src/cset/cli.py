@@ -143,9 +143,10 @@ def _write_tables(outdir: str, result, suffix: str = "") -> None:
         Path(_out(outdir, f"{kind}{suffix}.csv")).write_text(render(result))
 
 
-def _open_probabilities(args):
+def _open_probabilities(args, model=None):
     """--input as ScoreBlocks, and a generator of its (first row, probability block),
-    logits softmaxed at --temperature (given for logits only); it reads nothing until started."""
+    logits softmaxed at --temperature (given for logits only); it reads nothing until started.
+    A model of another K than the input's is refused here, before any block is read."""
     scores = open_scores(args.input)
     if scores.kind == "probabilities":
         if args.temperature is not None:
@@ -154,10 +155,16 @@ def _open_probabilities(args):
         raise DataError(
             "input holds logits; fit a temperature with fit-temp and pass --temperature"
         )
+    if model is not None and model.n_classes != scores.n_classes:
+        raise DataError(
+            f"model was calibrated for K={model.n_classes}, scores have K={scores.n_classes}"
+        )
 
     def walk():
         for lo, block in scores:
-            yield lo, softmax(block, args.temperature) if block.kind == "logits" else block
+            if block.kind == "logits":
+                block = softmax(block, args.temperature)  # the logits are freed here
+            yield lo, block
 
     return scores, walk()
 
@@ -261,11 +268,7 @@ def cmd_predict(args) -> int:
     leaves no predictions.csv.
     """
     model = load_model(args.model)
-    scores, blocks = _open_probabilities(args)
-    if model.n_classes != scores.n_classes:
-        raise DataError(
-            f"model was calibrated for K={model.n_classes}, scores have K={scores.n_classes}"
-        )
+    scores, blocks = _open_probabilities(args, model)
     u_rng = seeds.rng(args.seed, seeds.EVAL_U) if model.spec.randomized else None
     path = _out(args.out, "predictions.csv")
     partial = path + ".partial"
@@ -290,9 +293,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    """Write one model's report on --input, sorting it one row block at a time
+    as cmd_predict does; the bytes are those of one pass over the whole matrix."""
     model = load_model(args.model)
-    labels, ss = _load_sorted(args)
-    report = evaluate_model(model, ss, labels, seed=args.seed, strata=args.strata)
+    scores, blocks = _open_probabilities(args, model)
+    blocks = (sort_scores(block, args.seed, first_row=lo) for lo, block in blocks)
+    report = evaluate_model(model, blocks, scores.labels, args.seed, args.strata)
     names = ("n_eval", "coverage", "avg_size", "sscv", "top1", "top5")
     fields = {name: getattr(report, name) for name in names}
     Path(_out(args.out, "report.txt")).write_text(_kv(fields))

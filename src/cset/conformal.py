@@ -267,9 +267,17 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     (u * s_j >= 0) and adding the penalty keeps the order; the fl prefix sum
     of nonnegative values, the penalty and -max s_j never decrease in j, so
     every column at or past c scores above the threshold in every block row.
+    A row's size therefore depends on its own row alone, whatever the block.
     """
+    out, step = _sizer(models, ss.n, ss.n_classes, u)
+    step(ss)
+    return out
+
+
+def _sizer(models, n: int, k: int, u=None):
+    """(sizes, step): set_sizes_many's setup for n rows of K classes, and its
+    block step: step(ss, lo) sizes rows lo:lo + ss.n, sorted in ss."""
     models = tuple(models)
-    n, k = ss.n, ss.n_classes
     u_rows = None
     for model in models:
         if model.n_classes != k:
@@ -300,37 +308,38 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     # Flat buffers, so that a block cut to c columns is one contiguous (rows, c) array.
     base, scratch = np.empty((2, min(rows, n) * k))
     inside = np.empty(min(rows, n) * k, dtype=bool)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        h = hi - lo
-        srt, cumsum = ss.sorted[lo:hi], ss.cumsum[lo:hi]
-        u_block = u_rows[lo:hi] if u_rows is not None else None
-        for mode, group in groups.items():
-            if mode == "naive":
-                for model, sizes, _ in group:
-                    sizes[lo:hi], v = _naive_cut(srt, cumsum, model.tau_hat)
-                    if model.spec.randomized:
-                        sizes[lo:hi] -= u_block <= v
-                continue
-            lower = (1.0 - srt.max(axis=0) if mode == "lac"
-                     else np.concatenate(([0.0], cumsum[:, :-1].min(axis=0))))
-            cuts = [np.searchsorted(lower if pen is None else lower + pen, model.tau_hat, "right")
-                    for model, _, pen in group]
-            width = max(cuts)
-            at = u_block[:, None] if mode == "u" else 1.0
-            block = _score_base(srt[:, :width], cumsum[:, :width], mode, at,
-                                base[:h * width].reshape(h, width))
-            for (model, sizes, pen), c in zip(group, cuts):
-                scores = (block[:, :c] if pen is None
-                          else np.add(block[:, :c], pen[:c], out=scratch[:h * c].reshape(h, c)))
-                mask = np.less_equal(scores, model.tau_hat, out=inside[:h * c].reshape(h, c))
-                # A byte sum into int32 counts about twice as fast as count_nonzero.
-                sizes[lo:hi] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
 
-    for model, sizes, _ in groups.get("one", ()):
-        if model.spec.boundary_inclusive:
-            np.minimum(sizes + 1, k, out=sizes)
-    return out
+    def step(ss: SortedScores, first_row: int = 0) -> None:
+        for a in range(0, ss.n, rows):
+            b = min(a + rows, ss.n)
+            lo, hi, h = first_row + a, first_row + b, b - a
+            srt, cumsum = ss.sorted[a:b], ss.cumsum[a:b]
+            u_block = u_rows[lo:hi] if u_rows is not None else None
+            for mode, group in groups.items():
+                if mode == "naive":
+                    for model, sizes, _ in group:
+                        sizes[lo:hi], v = _naive_cut(srt, cumsum, model.tau_hat)
+                        if model.spec.randomized:
+                            sizes[lo:hi] -= u_block <= v
+                    continue
+                lower = (1.0 - srt.max(axis=0) if mode == "lac"
+                         else np.concatenate(([0.0], cumsum[:, :-1].min(axis=0))))
+                cuts = [np.searchsorted(lower if pen is None else lower + pen, model.tau_hat,
+                                        "right") for model, _, pen in group]
+                width = max(cuts)
+                at = u_block[:, None] if mode == "u" else 1.0
+                block = _score_base(srt[:, :width], cumsum[:, :width], mode, at,
+                                    base[:h * width].reshape(h, width))
+                for (model, sizes, pen), c in zip(group, cuts):
+                    scores = (block[:, :c] if pen is None
+                              else np.add(block[:, :c], pen[:c], out=scratch[:h * c].reshape(h, c)))
+                    mask = np.less_equal(scores, model.tau_hat, out=inside[:h * c].reshape(h, c))
+                    # A byte sum into int32 counts about twice as fast as count_nonzero.
+                    sizes[lo:hi] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+                    if mode == "one" and model.spec.boundary_inclusive:
+                        np.minimum(sizes[lo:hi] + 1, k, out=sizes[lo:hi])
+
+    return out, step
 
 
 def set_sizes(model: ConformalModel, ss: SortedScores, u=None) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ConformalModel, set_sizes_many
+from .conformal import ConformalModel, _sizer
 from .score_store import DataError, SortedScores
 from . import seeds
 
@@ -199,30 +199,44 @@ def evaluate_arrays(
     )
 
 
-def evaluate_models(models, ss: SortedScores, labels: np.ndarray, seed: int = 0,
+def evaluate_models(models, ss, labels: np.ndarray, seed: int = 0,
                     strata=None, n_full: int | None = None) -> list:
     """Predict with every model on one evaluation split and measure each.
 
-    Randomized models share one u per row from the substream (seed, EVAL_U),
-    drawn only if some model is randomized. The label ranks, strata and
-    bins are found once, and one set_sizes_many pass sizes every model's sets.
-    Only the first n_full models (all by default) get an EvalReport; each
-    later one gets its float(np.mean(sizes)), bit for bit that avg_size.
+    ss is the split's SortedScores or its sorted row blocks in row order
+    (each sorted from its first row), read one at a time into n-length set
+    sizes and label ranks. Randomized models share one u per row from the
+    substream (seed, EVAL_U), drawn only if some model is randomized. The
+    set_sizes_many setup, strata and bins are found once. Only the first
+    n_full models (all by default) get an EvalReport; each later one gets
+    its float(np.mean(sizes)), bit for bit that avg_size.
     """
-    models = tuple(models)
+    models, labels = tuple(models), np.asarray(labels)
+    if labels.ndim != 1:
+        raise DataError("labels must be one integer per row")
+    n = labels.size
     randomized = any(model.spec.randomized for model in models)
-    u = seeds.rng(seed, seeds.EVAL_U).random(ss.n) if randomized else None
-    all_sizes = set_sizes_many(models, ss, u)
-    ranks = ss.label_ranks(np.asarray(labels))
+    u = seeds.rng(seed, seeds.EVAL_U).random(n) if randomized else None
+    ranks, lo, size = np.empty(n, dtype=np.intp), 0, None
+    for block in (ss,) if isinstance(ss, SortedScores) else ss:
+        if size is None:  # the first block gives K
+            k = block.n_classes
+            all_sizes, size = _sizer(models, n, k, u)
+        ranks[lo:lo + block.n] = block.label_ranks(labels[lo:lo + block.n])
+        size(block, lo)
+        lo += block.n
+        del block  # freed before the next block is sorted
+    if size is None or lo != n:
+        raise DataError("labels must be one integer per row")
     if strata is None:
-        strata = default_strata(ss.n_classes)
-    bins = default_difficulty_bins(ss.n_classes)
+        strata = default_strata(k)
+    bins = default_difficulty_bins(k)
     return [evaluate_arrays(sizes, ranks, model.spec.alpha, strata, bins)
             if n_full is None or i < n_full else float(np.mean(sizes))
             for i, (model, sizes) in enumerate(zip(models, all_sizes))]
 
 
-def evaluate_model(model: ConformalModel, ss: SortedScores, labels: np.ndarray, seed: int = 0,
+def evaluate_model(model: ConformalModel, ss, labels: np.ndarray, seed: int = 0,
                    strata=None) -> EvalReport:
     """evaluate_models for one model: predict on a split and measure everything."""
     return evaluate_models((model,), ss, labels, seed, strata)[0]

@@ -90,6 +90,11 @@ class ScoreMatrix:
         """Row subset in the given order: a copy for an index array, a view for a slice."""
         return ScoreMatrix._trusted(self.scores[idx], self.labels[idx], self.kind)
 
+    def blocks(self):
+        """(first row, view) of consecutive row blocks of about ``_BLOCK_CELLS`` cells."""
+        rows = max(1, _BLOCK_CELLS // self.n_classes)
+        return ((lo, self.take(slice(lo, lo + rows))) for lo in range(0, self.n, rows))
+
 
 def _set_arrays(m: ScoreMatrix, scores: np.ndarray, labels: np.ndarray) -> None:
     for arr in (scores, labels):
@@ -444,18 +449,18 @@ class ScoreBlocks:
         return self.labels.shape[0]
 
     def __iter__(self):
-        n, k, m = self.n, self.n_classes, self.matrix
-        rows = max(1, _BLOCK_CELLS // k)
-        if m is not None:
-            for lo in range(0, n, rows):
-                yield lo, ScoreMatrix._trusted(
-                    m.scores[lo:lo + rows], m.labels[lo:lo + rows], self.kind)
+        if self.matrix is not None:
+            yield from self.matrix.blocks()
             return
+        n, k = self.n, self.n_classes
+        rows = max(1, _BLOCK_CELLS // k)
         with open(self.path, "rb") as fh:
             for lo in range(0, n, rows):
                 hi = min(lo + rows, n)
-                scores = _valid_scores(_read_rows(fh, self.path, k, lo, hi), self.kind, lo)
-                yield lo, ScoreMatrix._trusted(scores, self.labels[lo:hi], self.kind)
+                # Unnamed here, a block is freed as soon as its consumer drops it.
+                yield lo, ScoreMatrix._trusted(
+                    _valid_scores(_read_rows(fh, self.path, k, lo, hi), self.kind, lo),
+                    self.labels[lo:hi], self.kind)
 
 
 def open_scores(path: str) -> ScoreBlocks:

@@ -148,6 +148,7 @@ def oracle_coverage(
     Every trial draws fresh data, calibrates on its own rows (skipped for
     naive), and predicts on fresh evaluation rows, so the estimate
     marginalizes over everything the coverage guarantee marginalizes over.
+    The evaluation rows are sorted and sized one row block at a time.
     """
     if mspec.method == "fixed_k":
         raise ValueError("oracle_coverage covers the threshold methods, not fixed_k")
@@ -175,8 +176,10 @@ def _oracle_trial(
         cal, ev = observed.take(slice(n_cal)), observed.take(slice(n_cal, None))
         ss_cal = sort_scores(cal, seeds.child_seed(trial_seed, seeds.SORT, 0))
         model = calibrate(ss_cal, cal.labels, mspec, seed=trial_seed)
-    ss_ev = sort_scores(ev, seeds.child_seed(trial_seed, seeds.SORT, 1))
-    u = seeds.rng(trial_seed, seeds.EVAL_U).random(ss_ev.n) if mspec.randomized else None
-    sizes = set_sizes(model, ss_ev, u)
-    ranks = ss_ev.label_ranks(ev.labels)
-    return np.mean(ranks <= sizes)
+    u = seeds.rng(trial_seed, seeds.EVAL_U).random(ev.n) if mspec.randomized else None
+    covered = 0
+    for lo, block in ev.blocks():
+        ss = sort_scores(block, seeds.child_seed(trial_seed, seeds.SORT, 1), first_row=lo)
+        sizes = set_sizes(model, ss, None if u is None else u[lo:lo + ss.n])
+        covered += np.count_nonzero(ss.label_ranks(block.labels) <= sizes)
+    return covered / ev.n

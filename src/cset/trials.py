@@ -6,11 +6,12 @@ split, calibrates on the calibration split, and measures everything on the
 evaluation split. Per-trial seeds are derived from the master seed and the
 trial index alone, so trials are independent of execution order and safe to
 parallelize; all methods inside one trial share the same splits and the same
-per-row randomization variates. A trial sorts each split once, and one
-set_sizes_many pass over the evaluation rows sizes every method's sets, so
-adding a method to a trial costs its fit and its counts over the ranks its
-threshold can reach, not another sort; past run_trials_multi's n_full, a
-method gets no report tables, only its mean size.
+per-row randomization variates. A trial sorts the tuning and calibration
+splits once and the evaluation split one row block at a time, and one
+set_sizes_many setup sizes every method's sets block by block, so adding a
+method to a trial costs its fit and its counts over the ranks its threshold
+can reach, not another sort; past run_trials_multi's n_full, a method gets
+no report tables, only its mean size.
 
 Summary numbers are medians across trials of per-trial means (median of
 means), which keeps a single weird split from dominating the summary.
@@ -150,11 +151,12 @@ def _run_trial(
     """Draw one trial's splits, fit every policy, and measure every model.
 
     In the protocol's order: fit the temperature on the platt_split split
-    and softmax, sort each split once (the tuning split only if some policy
-    tunes), tune and fit each policy on the calibration split, and measure
-    every model in one evaluate_models call (past the first n_full, by mean
-    size only). Only the sorted splits and their labels outlive the sorts;
-    everything is released on return, before the next trial draws its data.
+    and softmax, sort the calibration split (and the tuning split if some
+    policy tunes), tune and fit each policy on the calibration split, and
+    measure every model in one evaluate_models call (past the first n_full,
+    by mean size only), which softmaxes and sorts the evaluation split one
+    row block at a time. Everything is released on return, before the next
+    trial draws its data.
     """
     tune_m, cal_m, eval_m = draw(trial_seed)
     tunes = any(policy.tune_objective is not None for policy in policies.values())
@@ -168,15 +170,14 @@ def _run_trial(
         fit_on = tune_m if protocol.platt_split == "tuning" else cal_m
         temperature = fit_temperature(fit_on).temperature
 
-    def sort_split(m: ScoreMatrix, part: int) -> tuple[SortedScores, np.ndarray]:
+    def sort_rows(m: ScoreMatrix, part: int, lo: int = 0) -> SortedScores:
         if temperature is not None:
             m = softmax(m, temperature)
-        return sort_scores(m, seeds.child_seed(trial_seed, seeds.SORT, part)), m.labels
+        return sort_scores(m, seeds.child_seed(trial_seed, seeds.SORT, part), first_row=lo)
 
-    ss_tune, y_tune = sort_split(tune_m, 0) if tunes else (None, None)
-    ss_cal, y_cal = sort_split(cal_m, 1)
-    ss_eval, y_eval = sort_split(eval_m, 2)
-    del tune_m, cal_m, eval_m  # free the matrices; the fits need only the sorted splits
+    ss_tune, y_tune = (sort_rows(tune_m, 0), tune_m.labels) if tunes else (None, None)
+    ss_cal, y_cal = sort_rows(cal_m, 1), cal_m.labels
+    del tune_m, cal_m  # free the matrices; the fits need only the sorted splits
 
     models = []
     for policy in policies.values():
@@ -186,7 +187,8 @@ def _run_trial(
                        seeds.child_seed(trial_seed, seeds.TUNE), protocol.strata)
             spec = replace(spec, penalty=res.penalty, kreg=res.kreg)
         models.append(fit_model(ss_cal, y_cal, spec, trial_seed))
-    reports = evaluate_models(models, ss_eval, y_eval, trial_seed, protocol.strata, n_full)
+    blocks = (sort_rows(block, 2, lo) for lo, block in eval_m.blocks())
+    reports = evaluate_models(models, blocks, eval_m.labels, trial_seed, protocol.strata, n_full)
     return {name: (report, model.spec) for name, model, report in zip(policies, models, reports)}
 
 
