@@ -163,7 +163,7 @@ def _open_probabilities(args, model=None):
     def walk():
         for lo, block in scores:
             if block.kind == "logits":
-                block = softmax(block, args.temperature)  # the logits are freed here
+                block = softmax(block, args.temperature)  # the logit block is not held past here
             yield lo, block
 
     return scores, walk()

@@ -276,7 +276,7 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
 
 def _sizer(models, n: int, k: int, u=None):
     """(sizes, step): set_sizes_many's setup for n rows of K classes, and its
-    block step: step(ss, lo) sizes rows lo:lo + ss.n, sorted in ss."""
+    block step: step(ss, first_row) sizes the rows from first_row on, sorted in ss."""
     models = tuple(models)
     u_rows = None
     for model in models:

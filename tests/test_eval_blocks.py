@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cset
-from cset import score_store, seeds, trials
+from cset import score_store, trials
 from cset.cli import main
 from cset.conformal import MethodSpec, as_deterministic
 from cset.metrics import evaluate_models
