@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeds
-from .conformal import MethodSpec, METHODS, load_model, save_model, set_sizes
+from .conformal import MethodSpec, METHODS, _sizer, load_model, save_model
 from .metrics import _validate_strata, evaluate_model
 from .platt import DEFAULT_BOUNDS, DEFAULT_TOL, fit_temperature
 from .reports import (
@@ -144,7 +144,7 @@ def _write_tables(outdir: str, result, suffix: str = "") -> None:
 
 
 def _open_probabilities(args, model=None):
-    """--input as ScoreBlocks, and a generator of its (first row, probability block),
+    """--input as open_scores gives it, and a generator of its (first row, probability block),
     logits softmaxed at --temperature (given for logits only); it reads nothing until started.
     A model of another K than the input's is refused here, before any block is read."""
     scores = open_scores(args.input)
@@ -161,7 +161,7 @@ def _open_probabilities(args, model=None):
         )
 
     def walk():
-        for lo, block in scores:
+        for lo, block in scores.blocks():
             if block.kind == "logits":
                 block = softmax(block, args.temperature)  # the logit block is not held past here
             yield lo, block
@@ -269,6 +269,7 @@ def cmd_predict(args) -> int:
     """
     model = load_model(args.model)
     scores, blocks = _open_probabilities(args, model)
+    sizer = _sizer((model,), scores.n_classes)
     u_rng = seeds.rng(args.seed, seeds.EVAL_U) if model.spec.randomized else None
     path = _out(args.out, "predictions.csv")
     partial = path + ".partial"
@@ -278,7 +279,7 @@ def cmd_predict(args) -> int:
             for lo, block in blocks:
                 ss = sort_scores(block, args.seed, first_row=lo)
                 u = u_rng.random(ss.n) if u_rng is not None else None
-                sizes = set_sizes(model, ss, u)
+                sizes = sizer(ss, u)[0]
                 total += int(sizes.sum())
                 fh.writelines(
                     ",".join(map(str, [lo + i, size, *classes])) + "\n"

@@ -27,18 +27,17 @@ set is all K classes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import seeds
-from .score_store import DataError, ScoreMatrix, SortedScores, _kv
+from .score_store import DataError, ScoreMatrix, SortedScores, _kv, _row_blocks
 
 METHODS = ("naive", "aps", "raps", "lac", "fixed_k")
 CALIBRATED_METHODS = ("aps", "raps", "lac")
-# Cells per row block of set_sizes_many (512 KB of float64 per buffer).
-_SIZE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -253,13 +252,13 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     Cost model: the models are grouped once by the score base they read:
     u * sorted plus the mass above each rank for randomized aps/raps, the
     same at u = 1 for deterministic ones, 1 - sorted for lac, and naive's
-    own cutoff. The rows are walked in blocks of about _SIZE_BLOCK_CELLS
-    cells. In each block a group takes a column-wise lower bound of its base
-    (0 at rank 1, then the block's smallest C[j-1]; for lac 1 - max s_j). A
-    model's cut c counts the columns whose bound plus its rank penalty is at
-    most its threshold; the group builds its base up to its largest cut, and
-    each model adds its penalty (raps only) and counts over its first c
-    columns. So m models cost one bound pass per group, at most three base
+    own cutoff. The rows are walked in the row blocks of
+    ``score_store._row_blocks``. In each block a group takes a column-wise
+    lower bound of its base (0 at rank 1, then the block's smallest C[j-1];
+    for lac 1 - max s_j). A model's cut c counts the columns whose bound
+    plus its rank penalty is at most its threshold; the group builds its
+    base up to its largest cut, and each model adds its penalty (raps only)
+    and counts over its first c columns. So m models cost one bound pass per group, at most three base
     passes, and one add and one compare pass per model over the columns a
     threshold can reach, in three blocks of memory. fixed_k needs no scores.
 
@@ -269,77 +268,75 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     every column at or past c scores above the threshold in every block row.
     A row's size therefore depends on its own row alone, whatever the block.
     """
-    out, step = _sizer(models, ss.n, ss.n_classes, u)
-    step(ss)
-    return out
-
-
-def _sizer(models, n: int, k: int, u=None):
-    """(sizes, step): set_sizes_many's setup for n rows of K classes, and its
-    block step: step(ss, first_row) sizes the rows from first_row on, sorted in ss."""
     models = tuple(models)
-    u_rows = None
-    for model in models:
+    if any(model.spec.randomized for model in models):
+        if u is None:
+            raise ValueError("randomized model needs one u per row")
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (ss.n,):
+            raise ValueError(f"u must have shape ({ss.n},)")
+        if not ((u >= 0.0) & (u <= 1.0)).all():
+            raise ValueError("u must be in [0, 1]")
+    return _sizer(models, ss.n_classes)(ss, u)
+
+
+def _sizer(models, k: int):
+    """set_sizes_many's setup for a sequence of models of K classes, done
+    once, and its step: step(ss, u) sizes the rows of one SortedScores under
+    each model, u being one value in [0, 1] per row of ss, read by the
+    randomized models only."""
+    groups: dict[str, list] = {}
+    for j, model in enumerate(models):
         if model.n_classes != k:
             raise DataError(
                 f"model was calibrated for K={model.n_classes}, scores have K={k}"
             )
-        if model.spec.randomized and u_rows is None:
-            if u is None:
-                raise ValueError("randomized model needs one u per row")
-            u_rows = np.asarray(u, dtype=np.float64)
-            if u_rows.shape != (n,):
-                raise ValueError(f"u must have shape ({n},)")
-            if not ((u_rows >= 0.0) & (u_rows <= 1.0)).all():
-                raise ValueError("u must be in [0, 1]")
-
-    out = [np.empty(n, dtype=np.int64) for _ in models]
-    groups: dict[str, list] = {}
-    for model, sizes in zip(models, out):
         spec = model.spec
-        if spec.method == "fixed_k":
-            u_fixed = u_rows if spec.randomized else 1.0
-            sizes[:] = np.where(u_fixed <= model.mix_prob, model.k_star - 1, model.k_star)
-            continue
-        mode = spec.method if spec.method in ("lac", "naive") else "u" if spec.randomized else "one"
-        groups.setdefault(mode, []).append((model, sizes, _penalty_vector(k, spec)))
+        if spec.method != "fixed_k":
+            mode = spec.method if spec.method in ("lac", "naive") else "u" if spec.randomized else "one"
+            groups.setdefault(mode, []).append((j, model, _penalty_vector(k, spec)))
 
-    rows = max(1, _SIZE_BLOCK_CELLS // k)
-    # Flat buffers, so that a block cut to c columns is one contiguous (rows, c) array.
-    base, scratch = np.empty((2, min(rows, n) * k))
-    inside = np.empty(min(rows, n) * k, dtype=bool)
+    # Flat buffers of one whole row block (the first of any longer walk), so
+    # that a block cut to c columns is one contiguous (rows, c) array.
+    cells = k * next(_row_blocks(sys.maxsize, k)).stop
+    base, scratch = np.empty((2, cells))
+    inside = np.empty(cells, dtype=bool)
 
-    def step(ss: SortedScores, first_row: int = 0) -> None:
-        for a in range(0, ss.n, rows):
-            b = min(a + rows, ss.n)
-            lo, hi, h = first_row + a, first_row + b, b - a
-            srt, cumsum = ss.sorted[a:b], ss.cumsum[a:b]
-            u_block = u_rows[lo:hi] if u_rows is not None else None
+    def step(ss: SortedScores, u=None) -> list[np.ndarray]:
+        out = [np.empty(ss.n, dtype=np.int64) for _ in models]
+        for model, sizes in zip(models, out):
+            if model.spec.method == "fixed_k":
+                u_fixed = u if model.spec.randomized else 1.0
+                sizes[:] = np.where(u_fixed <= model.mix_prob, model.k_star - 1, model.k_star)
+        for rows in _row_blocks(ss.n, k):
+            h = rows.stop - rows.start
+            srt, cumsum = ss.sorted[rows], ss.cumsum[rows]
             for mode, group in groups.items():
                 if mode == "naive":
-                    for model, sizes, _ in group:
-                        sizes[lo:hi], v = _naive_cut(srt, cumsum, model.tau_hat)
+                    for j, model, _ in group:
+                        out[j][rows], v = _naive_cut(srt, cumsum, model.tau_hat)
                         if model.spec.randomized:
-                            sizes[lo:hi] -= u_block <= v
+                            out[j][rows] -= u[rows] <= v
                     continue
                 lower = (1.0 - srt.max(axis=0) if mode == "lac"
                          else np.concatenate(([0.0], cumsum[:, :-1].min(axis=0))))
                 cuts = [np.searchsorted(lower if pen is None else lower + pen, model.tau_hat,
-                                        "right") for model, _, pen in group]
+                                        "right") for _, model, pen in group]
                 width = max(cuts)
-                at = u_block[:, None] if mode == "u" else 1.0
+                at = u[rows, None] if mode == "u" else 1.0
                 block = _score_base(srt[:, :width], cumsum[:, :width], mode, at,
                                     base[:h * width].reshape(h, width))
-                for (model, sizes, pen), c in zip(group, cuts):
+                for (j, model, pen), c in zip(group, cuts):
                     scores = (block[:, :c] if pen is None
                               else np.add(block[:, :c], pen[:c], out=scratch[:h * c].reshape(h, c)))
                     mask = np.less_equal(scores, model.tau_hat, out=inside[:h * c].reshape(h, c))
                     # A byte sum into int32 counts about twice as fast as count_nonzero.
-                    sizes[lo:hi] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+                    out[j][rows] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
                     if mode == "one" and model.spec.boundary_inclusive:
-                        np.minimum(sizes[lo:hi] + 1, k, out=sizes[lo:hi])
+                        np.minimum(out[j][rows] + 1, k, out=out[j][rows])
+        return out
 
-    return out, step
+    return step
 
 
 def set_sizes(model: ConformalModel, ss: SortedScores, u=None) -> np.ndarray:

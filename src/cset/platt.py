@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .score_store import ScoreMatrix, check_temperature
+from .score_store import ScoreMatrix, _row_blocks, check_temperature
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_BOUNDS = (0.05, 20.0)
 DEFAULT_TOL = 1e-4
-# Cells per block of one nll evaluation (512 KB of float64, cache-sized).
-_NLL_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,20 +46,19 @@ def _nll_at(m: ScoreMatrix):
         raise ValueError("nll expects logits")
     n, k = m.scores.shape
     shifted = m.scores - m.scores.max(axis=1, keepdims=True)
-    rows = max(1, _NLL_BLOCK_CELLS // k)
-    buf = np.empty((min(rows, n), k))
+    blocks = list(_row_blocks(n, k))
+    buf = np.empty((blocks[0].stop, k))
     at_row = np.arange(len(buf))
     sums = np.empty(n)
     picked = np.empty(n)
 
     def at(temperature: float) -> float:
         check_temperature(temperature)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            z = np.divide(shifted[lo:hi], temperature, out=buf[: hi - lo])
-            picked[lo:hi] = z[at_row[: hi - lo], m.labels[lo:hi]]
+        for rows in blocks:
+            z = np.divide(shifted[rows], temperature, out=buf[: rows.stop - rows.start])
+            picked[rows] = z[at_row[: len(z)], m.labels[rows]]
             np.exp(z, out=z)
-            z.sum(axis=1, out=sums[lo:hi])
+            z.sum(axis=1, out=sums[rows])
         return float(np.mean(np.log(sums) - picked))
 
     return at

@@ -27,8 +27,8 @@ _ROW_SUM_OK = 1e-6
 _ROW_SUM_FIX = 1e-3
 # Rows per block in sort_scores; bounds its temporaries at this many rows x K.
 _SORT_BLOCK_ROWS = 256
-# Cells per row block when a score file is walked in blocks (ScoreBlocks) and
-# in label_ranks; bounds each block-sized temporary at this many cells.
+# Cells per row block of every block walk (see _row_blocks); bounds each
+# block-sized temporary at this many cells (512 KB of float64).
 _BLOCK_CELLS = 1 << 16
 
 
@@ -91,9 +91,15 @@ class ScoreMatrix:
         return ScoreMatrix._trusted(self.scores[idx], self.labels[idx], self.kind)
 
     def blocks(self):
-        """(first row, view) of consecutive row blocks of about ``_BLOCK_CELLS`` cells."""
-        rows = max(1, _BLOCK_CELLS // self.n_classes)
-        return ((lo, self.take(slice(lo, lo + rows))) for lo in range(0, self.n, rows))
+        """(first row, view) of each row block of :func:`_row_blocks`."""
+        return ((rows.start, self.take(rows)) for rows in _row_blocks(self.n, self.n_classes))
+
+
+def _row_blocks(n: int, k: int):
+    """Consecutive row blocks covering rows [0, n) of K cells each, as slices:
+    ``_BLOCK_CELLS // K`` rows a block (at least one), only the last one short."""
+    rows = max(1, _BLOCK_CELLS // k)
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 def _set_arrays(m: ScoreMatrix, scores: np.ndarray, labels: np.ndarray) -> None:
@@ -212,11 +218,9 @@ class SortedScores:
         _check_labels(labels, k)
         at = np.arange(n)
         p_y = self._probs[at, labels]
-        rows = max(1, _BLOCK_CELLS // k)
         ranks = np.empty(n, dtype=np.intp)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            ranks[lo:hi] = np.count_nonzero(self._probs[lo:hi] > p_y[lo:hi, None], axis=1)
+        for rows in _row_blocks(n, k):
+            ranks[rows] = np.count_nonzero(self._probs[rows] > p_y[rows, None], axis=1)
         # The label's run of equal values starts at its count.
         tied = np.flatnonzero(
             (ranks < k - 1) & (self.sorted[at, np.minimum(ranks + 1, k - 1)] == p_y))
@@ -428,51 +432,45 @@ def load_scores(path: str, fmt: str = "auto") -> ScoreMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ScoreBlocks:
-    """A score file walked in row blocks of about ``_BLOCK_CELLS`` cells.
+    """A binary score file walked in the row blocks of :func:`_row_blocks`.
 
     :func:`open_scores` reads and checks the kind, the shape and the labels
-    up front; iterating yields ``(first_row, ScoreMatrix)`` for consecutive
-    row blocks. Binary scores are read from disk one block at a time, so
-    memory is bounded by the block, not by n, and a bad score is reported
-    with its row in the file. A CSV file is loaded whole (its kind is
-    inferred from every row) and then walked in the same blocks.
+    up front; ``blocks()`` yields ``(first_row, ScoreMatrix)`` for each row
+    block, as :meth:`ScoreMatrix.blocks` does. The scores are read from disk
+    one block at a time, so memory is bounded by the block, not by n, and a
+    bad score is reported with its row in the file.
     """
 
     path: str
     kind: str
     n_classes: int
     labels: np.ndarray
-    matrix: ScoreMatrix | None = None  # the whole CSV matrix; None for binary
 
     @property
     def n(self) -> int:
         return self.labels.shape[0]
 
-    def __iter__(self):
-        if self.matrix is not None:
-            yield from self.matrix.blocks()
-            return
-        n, k = self.n, self.n_classes
-        rows = max(1, _BLOCK_CELLS // k)
+    def blocks(self):
+        k = self.n_classes
         with open(self.path, "rb") as fh:
-            for lo in range(0, n, rows):
-                hi = min(lo + rows, n)
+            for rows in _row_blocks(self.n, k):
                 # Unnamed here, a block is freed as soon as its consumer drops it.
-                yield lo, ScoreMatrix._trusted(
-                    _valid_scores(_read_rows(fh, self.path, k, lo, hi), self.kind, lo),
-                    self.labels[lo:hi], self.kind)
+                yield rows.start, ScoreMatrix._trusted(
+                    _valid_scores(_read_rows(fh, self.path, k, rows.start, rows.stop),
+                                  self.kind, rows.start),
+                    self.labels[rows], self.kind)
 
 
-def open_scores(path: str) -> ScoreBlocks:
-    """Open a score file (binary or CSV, by its magic) for a walk in row blocks.
+def open_scores(path: str) -> ScoreMatrix | ScoreBlocks:
+    """Open a score file (binary or CSV, by its magic) for a walk in row
+    blocks through its ``blocks()``.
 
-    A binary file's size, kind flag and labels are checked here, before
-    any score is read.
+    A CSV file is loaded whole, as the ScoreMatrix returned (its kind is
+    inferred from every row). A binary file's size, kind flag and labels
+    are checked here, before any score is read, and its ScoreBlocks reads
+    one block at a time.
     """
-    if _sniff(path) == "csv":
-        m = _load_csv(path)
-        return ScoreBlocks(path, m.kind, m.n_classes, m.labels, m)
-    return _open_binary(path)
+    return _load_csv(path) if _sniff(path) == "csv" else _open_binary(path)
 
 
 def _sniff(path: str) -> str:

@@ -30,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import score_store, seeds
+from . import seeds
 from .conformal import MethodSpec, calibrate, naive_model, set_sizes
-from .score_store import ScoreMatrix, sort_scores
+from .score_store import ScoreMatrix, _row_blocks, sort_scores
 
 CORRUPTIONS = ("none", "temperature", "tail_permute")
 
@@ -87,17 +87,15 @@ def generate(spec: SynthSpec) -> tuple[ScoreMatrix, ScoreMatrix]:
     moves = spec.corruption == "temperature" or (
         spec.corruption == "tail_permute" and spec.corruption_param < k - 1)
     observed = np.empty((n, k)) if moves else p
-    rows = max(1, score_store._BLOCK_CELLS // k)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = p[lo:hi]
+    for rows in _row_blocks(n, k):
+        block = p[rows]
         gen.standard_gamma(spec.concentration / k, out=block)  # the bits of gamma(c / k, 1.0)
         np.clip(block, 1e-290, None, out=block)  # keep every class mass strictly positive
         block /= block.sum(axis=1, keepdims=True)
-        below = np.cumsum(block, axis=1) < r_gen.random(hi - lo)[:, None]
-        np.minimum(below.sum(axis=1), k - 1, out=labels[lo:hi])
+        below = np.cumsum(block, axis=1) < r_gen.random(len(block))[:, None]
+        np.minimum(below.sum(axis=1), k - 1, out=labels[rows])
         if moves:
-            _corrupt(block, spec, key_gen, observed[lo:hi])
+            _corrupt(block, spec, key_gen, observed[rows])
     # Both arrays are fresh and valid, so they are wrapped without a copy.
     return (ScoreMatrix._trusted(p, labels, "probabilities"),
             ScoreMatrix._trusted(observed, labels, "probabilities"))

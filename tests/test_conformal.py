@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import cset
 from cset.conformal import (
-    _SIZE_BLOCK_CELLS,
     METHODS,
     ConformalModel,
     MethodSpec,
@@ -23,7 +22,7 @@ from cset.conformal import (
     set_sizes,
     set_sizes_many,
 )
-from cset.score_store import DataError, ScoreMatrix, sort_scores
+from cset.score_store import _BLOCK_CELLS, DataError, ScoreMatrix, sort_scores
 from cset.tuning import fit_model
 
 from conftest import dirichlet_matrix
@@ -518,7 +517,7 @@ def size_cases(draw):
     shared u, and a mixed list of models with thresholds that include an
     empty set, +inf, and exact score values (equality at the threshold)."""
     k = draw(st.sampled_from([3, 7, 100, 257]))
-    rows = _SIZE_BLOCK_CELLS // k
+    rows = _BLOCK_CELLS // k
     n = draw(st.one_of(
         st.integers(1, 3 * rows + 7),
         st.builds(lambda j, d: max(1, j * rows + d), st.integers(1, 3), st.integers(-2, 2)),
@@ -574,7 +573,7 @@ def test_set_sizes_many_matches_per_model_formula(case):
 def test_set_sizes_many_penalty_starts_past_kreg():
     # a penalty so large that one penalized rank prices a class out: the set
     # is exactly the first kreg ranks whatever the threshold below 1
-    ss, u = _size_rows("tie_free", 2 * (_SIZE_BLOCK_CELLS // 5) + 3, 5, 4)
+    ss, u = _size_rows("tie_free", 2 * (_BLOCK_CELLS // 5) + 3, 5, 4)
     for kreg in (1, 2, 4):
         spec = MethodSpec("raps", 0.1, penalty=10.0, kreg=kreg, randomized=False)
         model = ConformalModel(spec, 1.0 + 1e-9, 10, 0, 5)
@@ -752,7 +751,7 @@ def mixed_size_cases(draw):
     """Every kind of model at once, in a drawn order, over rows that span
     block edges, so each group's score base meets the others' in one pass."""
     k = draw(st.sampled_from([3, 7, 100]))
-    rows = _SIZE_BLOCK_CELLS // k
+    rows = _BLOCK_CELLS // k
     n = draw(st.integers(1, 2 * rows + 5))
     ss, u = _size_rows(draw(st.sampled_from(SIZE_ROW_SHAPES)), n, k,
                        draw(st.integers(0, 2**32 - 1)))
@@ -832,7 +831,7 @@ def cut_cases(draw):
     of, some block's lower bound at some column, over rows that often span
     three or four blocks."""
     k = draw(st.sampled_from([7, 100, 257]))
-    rows = _SIZE_BLOCK_CELLS // k
+    rows = _BLOCK_CELLS // k
     n = draw(st.one_of(st.integers(2 * rows + 1, 3 * rows + 7), st.integers(1, rows)))
     ss, u = _size_rows(draw(st.sampled_from(SIZE_ROW_SHAPES)), n, k,
                        draw(st.integers(0, 2**32 - 1)))
@@ -865,7 +864,7 @@ def test_set_sizes_many_cut_matches_a_whole_matrix_count(case):
 
 def test_set_sizes_many_cut_edges():
     # sparse rows with signed zeros over three blocks of K = 100
-    ss, u = _size_rows("sparse_signed_zero", 3 * (_SIZE_BLOCK_CELLS // 100) + 5, 100, 11)
+    ss, u = _size_rows("sparse_signed_zero", 3 * (_BLOCK_CELLS // 100) + 5, 100, 11)
     lac_all = ConformalModel(MethodSpec("lac", 0.1), math.inf, 10, 0, 100)
     # the rank-1 bound is 0, so one ulp below it cuts every column
     huge = MethodSpec("raps", 0.1, penalty=1e6, kreg=2, randomized=False)
@@ -884,7 +883,7 @@ def test_set_sizes_many_cut_edges():
 @pytest.mark.parametrize("cells", ["k", "3k", "default"])
 def test_set_sizes_many_does_not_depend_on_which_block_holds_a_row(shape, cells):
     k = 100
-    ss, u = _size_rows(shape, 2 * (_SIZE_BLOCK_CELLS // k) + 17, k, 5)
+    ss, u = _size_rows(shape, 2 * (_BLOCK_CELLS // k) + 17, k, 5)
     g = np.random.default_rng(6)
     models = [naive_model(0.1, k), naive_model(0.1, k, False)]
     for spec in MIXED_SPECS:
@@ -896,9 +895,9 @@ def test_set_sizes_many_does_not_depend_on_which_block_holds_a_row(shape, cells)
             models.append(ConformalModel(spec, tau, 10, 0, k))
     want = set_sizes_many(models, ss, u)
     perm = g.permutation(ss.n)
-    block = {"k": k, "3k": 3 * k, "default": _SIZE_BLOCK_CELLS}[cells]
+    block = {"k": k, "3k": 3 * k, "default": _BLOCK_CELLS}[cells]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cset.conformal, "_SIZE_BLOCK_CELLS", block)
+        mp.setattr(cset.score_store, "_BLOCK_CELLS", block)
         got = set_sizes_many(models, ss.take(perm), u[perm])
     for model, a, b in zip(models, want, got):
         np.testing.assert_array_equal(b, a[perm], err_msg=repr(model.spec))

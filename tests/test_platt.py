@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cset
-from cset.platt import _NLL_BLOCK_CELLS, DEFAULT_BOUNDS, DEFAULT_TOL
-from cset.score_store import ScoreMatrix
+from cset.platt import DEFAULT_BOUNDS, DEFAULT_TOL
+from cset.score_store import _BLOCK_CELLS, ScoreMatrix
 from cset.seeds import rng
 
 from conftest import logit_matrices
@@ -158,7 +158,7 @@ def test_fit_matches_reference_search_field_by_field(m, bracket):
 def test_nll_evaluation_blocks_match_one_shot_formula():
     # more rows than one evaluation block, and a last block that is not full
     k = 7
-    n = 2 * (_NLL_BLOCK_CELLS // k) + 5
+    n = 2 * (_BLOCK_CELLS // k) + 5
     g = np.random.default_rng(11)
     m = ScoreMatrix(g.normal(0.0, 3.0, size=(n, k)), g.integers(0, k, n), "logits")
     assert cset.fit_temperature(m) == _reference_fit(m)
