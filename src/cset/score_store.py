@@ -57,13 +57,13 @@ class ScoreMatrix:
     def __post_init__(self) -> None:
         _check(self.kind in KINDS, f"unknown kind {self.kind!r}")
         scores = np.array(self.scores, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = np.array(self.labels)
         _check(scores.ndim == 2, "scores must be a 2-D array")
         n, k = scores.shape
         _check(n >= 1, "empty matrix: need at least one row")
         _check(k >= 2, f"need at least 2 classes, got {k}")
         _check(labels.shape == (n,), "labels must be one integer per row")
-        _check_labels(labels, k)
+        labels = _check_labels(labels, k)
         _set_arrays(self, _valid_scores(scores, self.kind), labels)
 
     @classmethod
@@ -109,12 +109,19 @@ def _set_arrays(m: ScoreMatrix, scores: np.ndarray, labels: np.ndarray) -> None:
     object.__setattr__(m, "labels", labels)
 
 
-def _check_labels(labels: np.ndarray, k: int) -> None:
-    """DataError naming the first row whose label is not in [0, K)."""
+def _check_labels(labels: np.ndarray, k: int) -> np.ndarray:
+    """The labels as int64; a DataError names the first row whose label is not
+    in [0, K), else the first whose label is not a whole number."""
     out = (labels < 0) | (labels >= k)
     if out.any():
         row = int(np.argmax(out))
         raise DataError(f"label out of range in row {row}: {labels[row]} not in [0, {k})")
+    if labels.dtype.kind == "f":
+        part = labels != np.floor(labels)
+        if part.any():
+            row = int(np.argmax(part))
+            raise DataError(f"label in row {row} is not a whole number: {labels[row]}")
+    return labels.astype(np.int64, copy=False)
 
 
 def _valid_scores(scores: np.ndarray, kind: str, first_row: int = 0) -> np.ndarray:
@@ -205,8 +212,8 @@ class SortedScores:
         and measurement on one split rank the labels once. A rank counts the
         larger cells of the row, one row block at a time, so the extra
         memory is one block, not n x K; only a label that ties another cell
-        is found in its row of ``perm``. A label outside [0, K) is a
-        DataError.
+        is found in its row of ``perm``. A label outside [0, K), or not a
+        whole number, is a DataError.
         """
         n, k = self.sorted.shape
         labels = np.asarray(labels)
@@ -215,7 +222,7 @@ class SortedScores:
             seen, ranks = self._ranked
             if seen.dtype == labels.dtype and np.array_equal(seen, labels):
                 return ranks
-        _check_labels(labels, k)
+        labels = _check_labels(labels, k)
         at = np.arange(n)
         p_y = self._probs[at, labels]
         ranks = np.empty(n, dtype=np.intp)
@@ -570,8 +577,8 @@ def _open_binary(path: str) -> ScoreBlocks:
         size = os.fstat(fh.fileno()).st_size
         _check(size == need, f"{path}: truncated or padded, expected {need} bytes, found {size}")
         fh.seek(_HEAD_BYTES + 4 * n * k)
-        labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
-    _check_labels(labels, k)
+        labels = np.fromfile(fh, dtype="<u4", count=n)
+    labels = _check_labels(labels, k)
     labels.setflags(write=False)
     return ScoreBlocks(path, "logits" if kind_flag == 0 else "probabilities", k, labels)
 

@@ -562,3 +562,35 @@ def test_csv_row_numbers_count_data_rows_not_blank_lines(tmp_path):
         path.write_text(f"scores,K=3\n0.5,0.3,0.2,0\n0.2,0.3,0.5,1\n\n{bad}\n")
         with pytest.raises(DataError, match=message):
             cset.load_scores(str(path))
+
+
+def test_sort_scores_refuses_a_negative_seed_on_tie_free_rows():
+    # The seed is read only where a tie is ordered; the refusal is not left to then.
+    m = ScoreMatrix(np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]), [0, 1], "probabilities")
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        cset.sort_scores(m, seed=-1)
+
+
+P = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.9, 1e-9, math.nan])
+def test_a_label_that_is_not_a_whole_number_is_a_data_error_naming_its_row(bad):
+    labels = np.array([2.0, bad, 0.0])
+    with pytest.raises(DataError, match="row 1"):
+        ScoreMatrix(P, labels, "probabilities")
+    ss = cset.sort_scores(ScoreMatrix(P, [2, 1, 0], "probabilities"), seed=0)
+    with pytest.raises(DataError, match="row 1"):
+        ss.label_ranks(labels)
+    with pytest.raises(DataError, match="row 1"):
+        cset.calibrate(ss, labels, cset.MethodSpec("aps", 0.1))
+    with pytest.raises(DataError, match="row 1"):
+        cset.evaluate_model(cset.naive_model(0.1, 3), ss, labels)
+
+
+def test_labels_that_are_whole_floats_are_accepted_as_their_integers():
+    m = ScoreMatrix(P, np.array([2.0, 1.0, 0.0]), "probabilities")
+    assert m.labels.dtype == np.int64
+    np.testing.assert_array_equal(m.labels, [2, 1, 0])
+    ss = cset.sort_scores(m, seed=0)
+    np.testing.assert_array_equal(ss.label_ranks(np.array([2.0, 1.0, 0.0])), ss.label_ranks(m.labels))
