@@ -103,7 +103,6 @@ def _tune(
     cal_idx, ev_idx = _nested_halves(ss.n, seed)
     ss_cal, y_cal = ss.take(cal_idx), labels[cal_idx]
     ss_ev, y_ev = ss.take(ev_idx), labels[ev_idx]
-    ranks_ev = ss_ev.label_ranks(y_ev)
     if strata is None:
         strata = default_strata(ss.n_classes)
 
@@ -116,7 +115,7 @@ def _tune(
         if objective == "size":
             values.append(float(np.mean(sizes)))
         else:
-            covered = ranks_ev <= sizes
+            covered = ss_ev.label_ranks(y_ev) <= sizes
             values.append(sscv_from_arrays(sizes, covered, strata, alpha))
 
     if objective == "size":
