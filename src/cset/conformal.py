@@ -252,13 +252,13 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     Cost model: the models are grouped once by the score base they read:
     u * sorted plus the mass above each rank for randomized aps/raps, the
     same at u = 1 for deterministic ones, 1 - sorted for lac, and naive's
-    own cutoff. The rows are walked in the row blocks of
-    ``score_store._row_blocks``. In each block a group takes a column-wise
-    lower bound of its base (0 at rank 1, then the block's smallest C[j-1];
-    for lac 1 - max s_j). A model's cut c counts the columns whose bound
-    plus its rank penalty is at most its threshold; the group builds its
-    base up to its largest cut, and each model adds its penalty (raps only)
-    and counts over its first c columns. So m models cost one bound pass per group, at most three base
+    own cutoff. The rows are walked in score_store._row_blocks' blocks. In
+    each block a group takes a column-wise lower bound of its base (0 at
+    rank 1, then the block's smallest C[j-1]; for lac 1 - max s_j). A
+    model's cut c counts the columns whose bound plus its rank penalty is at
+    most its threshold; the group builds its base up to its largest cut, and
+    each model adds its penalty (raps only) and counts over its first c
+    columns. So m models cost one bound pass per group, at most three base
     passes, and one add and one compare pass per model over the columns a
     threshold can reach, in three blocks of memory. fixed_k needs no scores.
 

@@ -7,9 +7,9 @@ convex in practice, and the search never needs derivatives.
 
 Cost model: the row-max shift of the logits is computed once per matrix.
 Each evaluation of the objective is then one divide and one exp pass over
-the shifted logits, plus a row sum, run in cache-sized row blocks through
-one buffer that every evaluation reuses. A fit at the default bracket and
-tolerance evaluates about 30 temperatures.
+the shifted logits, plus a row sum, run in ``score_store._row_blocks``'
+cache-sized row blocks through one buffer that every evaluation reuses. A
+fit at the default bracket and tolerance evaluates about 30 temperatures.
 """
 
 from __future__ import annotations
