@@ -218,10 +218,10 @@ def evaluate_models(models, ss, labels: np.ndarray, seed: int = 0,
     randomized = any(model.spec.randomized for model in models)
     u = seeds.rng(seed, seeds.EVAL_U).random(n) if randomized else None
     ranks, lo, size = np.empty(n, dtype=np.intp), 0, None
-    all_sizes = [np.empty(n, dtype=np.int64) for _ in models]
     for block in (ss,) if isinstance(ss, SortedScores) else ss:
         if size is None:  # the first block gives K
             k = block.n_classes
+            all_sizes = [np.empty(n, dtype=np.int64) for _ in models]
             size = _sizer(models, k)
         hi = lo + block.n
         ranks[lo:hi] = block.label_ranks(labels[lo:hi])

@@ -578,8 +578,8 @@ def _open_binary(path: str) -> ScoreBlocks:
         size = os.fstat(fh.fileno()).st_size
         _check(size == need, f"{path}: truncated or padded, expected {need} bytes, found {size}")
         fh.seek(_HEAD_BYTES + 4 * n * k)
-        labels = np.fromfile(fh, dtype="<u4", count=n)
-    labels = _check_labels(labels, k)
+        labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
+    _check_labels(labels, k)
     labels.setflags(write=False)
     return ScoreBlocks(path, "logits" if kind_flag == 0 else "probabilities", k, labels)
 
