@@ -302,7 +302,7 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0) -> SortedScor
         raise ValueError("sort_scores expects probabilities; apply softmax first")
     if first_row < 0:
         raise ValueError(f"first_row must be nonnegative, got {first_row}")
-    seeds.sequence(seed)  # refuses a negative seed now, not at the first tie it orders
+    seeds.sequence(seed)  # refuse a negative seed here: ties read it only when ordered
     n, k = m.scores.shape
     rows = np.arange(first_row, first_row + n)
     srt = np.empty((n, k))
