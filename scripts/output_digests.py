@@ -12,8 +12,12 @@ variants, one of them on the tie-heavy file and one the (k_reg, lambda)
 sweep on a sparse K=100 pool. Last come the generator's block walk:
 `synth` with the temperature corruption, `synth` at K=1000 where about half
 of each row's cells clip to one value, and a synthetic `experiment` whose
-tail_permute rows are split between tied and tie-free ones, and an
-`experiment` on logits whose evaluation split spans several row blocks.
+tail_permute rows are split between tied and tie-free ones, an
+`experiment` on logits whose evaluation split spans several row blocks,
+and `calibrate` and `predict` with raps models (randomized, deterministic,
+boundary-inclusive) and fixed_k whose sets reach far fewer ranks than K,
+so `predict` sorts only those ranks, on the logit file and on the
+tie-heavy one.
 To check that a change keeps every output byte, run it against each
 checkout and diff the two listings:
 
@@ -129,6 +133,22 @@ def flows():
     yield ["experiment", "--input", "wide.bin", "--methods", "aps,raps,lac", "--lambda", "0.02",
            "--k-reg", "2", "--no-sweep", "--trials", "2", "--cal-size", "500",
            "--eval-size", "3000", "--out", "z_wide_exp"]
+    # raps models whose penalty alone passes tau_hat far below K, so predict
+    # sorts only the ranks a set can reach (on wide.bin, K=50, and on the
+    # tie-heavy file, K=20), and fixed_k, which reaches k_star.
+    for name, flags in (("raps", []), ("raps_det", ["--deterministic"]),
+                        ("raps_incl", ["--deterministic", "--boundary-inclusive"])):
+        yield ["calibrate", *wide, "--method", "raps", "--lambda", "0.1", "--k-reg", "2",
+               *flags, "--seed", "19", "--out", f"zr_wide_{name}"]
+        yield ["predict", "--model", f"zr_wide_{name}/model.txt", *wide, "--seed", "20",
+               "--out", f"zr_pred_wide_{name}"]
+    yield ["calibrate", *wide, "--method", "fixed_k", "--seed", "21", "--out", "zr_wide_fixed_k"]
+    yield ["predict", "--model", "zr_wide_fixed_k/model.txt", *wide, "--seed", "22",
+           "--out", "zr_pred_wide_fixed_k"]
+    yield ["calibrate", "--input", "ties.bin", "--method", "raps", "--lambda", "0.2",
+           "--seed", "23", "--out", "zr_ties_raps"]
+    yield ["predict", "--model", "zr_ties_raps/model.txt", "--input", "ties.bin", "--seed", "24",
+           "--out", "zr_pred_ties_raps"]
 
 
 def write_inputs() -> None:

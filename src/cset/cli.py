@@ -40,6 +40,7 @@ from .score_store import (
     DataError,
     ScoreMatrix,
     _kv,
+    _LabelCells,
     load_scores,
     open_scores,
     save_scores,
@@ -170,12 +171,16 @@ def _open_probabilities(args, model=None):
 
 
 def _load_sorted(args):
-    """(labels, SortedScores) of --input: its probability blocks joined, then sorted."""
+    """(labels, SortedScores) of --input: a probability CSV sorted as loaded,
+    any other input's probability blocks joined, then sorted."""
     scores, blocks = _open_probabilities(args)
-    probs = np.empty((scores.n, scores.n_classes))
-    for lo, block in blocks:
-        probs[lo:lo + block.n] = block.scores
-    m = ScoreMatrix._trusted(probs, scores.labels, "probabilities")
+    if isinstance(scores, ScoreMatrix) and scores.kind == "probabilities":
+        m = scores
+    else:
+        probs = np.empty((scores.n, scores.n_classes))
+        for lo, block in blocks:
+            probs[lo:lo + block.n] = block.scores
+        m = ScoreMatrix._trusted(probs, scores.labels, "probabilities")
     return scores.labels, sort_scores(m, args.seed)
 
 
@@ -248,8 +253,19 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"--k-reg is a raps knob, not valid for {spec.method}")
     if spec.boundary_inclusive and (spec.randomized or spec.method not in ("aps", "raps")):
         raise ValueError("--boundary-inclusive needs --deterministic with aps or raps")
-    labels, ss = _load_sorted(args)
-    model = fit_model(ss, labels, spec, args.seed)
+    # Each block is sorted from its first row up to its labels' deepest
+    # run of equal values only, for each label's (rank, s, rho); the
+    # model is fitted on those, as on the whole matrix's sort.
+    scores, blocks = _open_probabilities(args)
+    ranks, s, rho = np.empty(scores.n, dtype=np.intp), np.empty(scores.n), np.empty(scores.n)
+    for lo, block in blocks:
+        rows = slice(lo, lo + block.n)
+        p_y = block.scores[np.arange(block.n), block.labels]
+        width = int(np.count_nonzero(block.scores >= p_y[:, None], axis=1).max())
+        ss = sort_scores(block, args.seed, first_row=lo, _width=width)
+        ranks[rows], s[rows], rho[rows] = ss.label_cells(block.labels)
+    cells = _LabelCells(scores.labels, ranks, s, rho, scores.n_classes)
+    model = fit_model(cells, scores.labels, spec, args.seed)
     path = _out(args.out, "model.txt")
     save_model(model, path)
     extra = f" k_star={model.k_star} mix_prob={model.mix_prob:g}" if model.k_star else ""
@@ -261,15 +277,17 @@ def cmd_calibrate(args) -> int:
 def cmd_predict(args) -> int:
     """Write predictions.csv one row block at a time (see _open_probabilities).
 
-    Each block is sorted from its first row and sized with its slice of the
-    one stream of u draws, so the file is the same as one pass over the
-    whole matrix would give. The lines go to a partial file that replaces
+    Each block is sorted from its first row, up to the model's reach plus
+    the one column top_classes' edge check reads, and sized with its slice
+    of the one stream of u draws, so the file is the same as one pass over
+    the whole matrix would give. The lines go to a partial file that replaces
     predictions.csv only once every block is done, so a bad row anywhere
     leaves no predictions.csv.
     """
     model = load_model(args.model)
     scores, blocks = _open_probabilities(args, model)
     sizer = _sizer((model,), scores.n_classes)
+    width = min(scores.n_classes, sizer.reach + 1)
     u_rng = seeds.rng(args.seed, seeds.EVAL_U) if model.spec.randomized else None
     path = _out(args.out, "predictions.csv")
     partial = path + ".partial"
@@ -277,7 +295,7 @@ def cmd_predict(args) -> int:
     try:
         with open(partial, "w") as fh:
             for lo, block in blocks:
-                ss = sort_scores(block, args.seed, first_row=lo)
+                ss = sort_scores(block, args.seed, first_row=lo, _width=width)
                 u = u_rng.random(ss.n) if u_rng is not None else None
                 sizes = sizer(ss, u)[0]
                 total += int(sizes.sum())

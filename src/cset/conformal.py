@@ -188,17 +188,17 @@ def _score_base(srt: np.ndarray, cumsum: np.ndarray, method: str, u, out: np.nda
 def calibration_scores(
     ss: SortedScores, labels: np.ndarray, spec: MethodSpec, u
 ) -> np.ndarray:
-    """Conformity score of each row's true label; u is scalar or (n,)."""
-    ranks = ss.label_ranks(labels)
-    idx = ranks - 1
-    rows = np.arange(ss.n)
-    s = ss.sorted[rows, idx]
+    """Conformity score of each row's true label; u is scalar or (n,).
+
+    ss is a SortedScores or the LabelCells of one: only the labels' cells
+    (rank, s, rho) are read, so both give the same bits.
+    """
+    ranks, s, rho = ss.label_cells(labels)
     if spec.method == "lac":
         return 1.0 - s
-    rho = np.where(idx > 0, ss.cumsum[rows, np.maximum(idx - 1, 0)], 0.0)
     scores = rho + np.asarray(u, dtype=np.float64) * s
     pen = _penalty_vector(ss.n_classes, spec)
-    return scores if pen is None else scores + pen[idx]
+    return scores if pen is None else scores + pen[ranks - 1]
 
 
 def calibrate(ss: SortedScores, labels: np.ndarray, spec: MethodSpec, seed: int = 0) -> ConformalModel:
@@ -280,21 +280,45 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     return _sizer(models, ss.n_classes)(ss, u)
 
 
+def _reach(model: ConformalModel, pen: np.ndarray | None, k: int) -> int:
+    """The largest set any u can give under the model on K classes, pen
+    being its _penalty_vector.
+
+    raps with a penalty and a finite tau_hat: the ranks whose penalty alone
+    is at most tau_hat (plus one when boundary-inclusive), since a rank's
+    score fl(base + penalty) is at least its penalty (base >= 0, rounding is
+    monotone; see set_sizes_many). fixed_k: k_star. Otherwise K.
+    """
+    if model.spec.method == "fixed_k":
+        return model.k_star
+    if pen is None or model.tau_hat == math.inf:
+        return k
+    reach = int(np.searchsorted(pen, model.tau_hat, "right")) + model.spec.boundary_inclusive
+    return min(k, reach)
+
+
 def _sizer(models, k: int):
     """set_sizes_many's setup for a sequence of models of K classes, done
     once, and its step: step(ss, u) sizes the rows of one SortedScores under
     each model, u being one value in [0, 1] per row of ss, read by the
-    randomized models only."""
+    randomized models only. ss may hold fewer sorted columns than K (see
+    sort_scores); a cut that reaches that width is a ValueError, never a
+    set sized short. step.reach is the largest set any of the models can
+    give (see _reach), so sorted columns past it are never read but by
+    SortedScores.top_classes' edge check, which reads one more."""
     groups: dict[str, list] = {}
+    reach = 0
     for j, model in enumerate(models):
         if model.n_classes != k:
             raise DataError(
                 f"model was calibrated for K={model.n_classes}, scores have K={k}"
             )
         spec = model.spec
+        pen = None if spec.method == "fixed_k" else _penalty_vector(k, spec)
+        reach = max(reach, _reach(model, pen, k))
         if spec.method != "fixed_k":
             mode = spec.method if spec.method in ("lac", "naive") else "u" if spec.randomized else "one"
-            groups.setdefault(mode, []).append((j, model, _penalty_vector(k, spec)))
+            groups.setdefault(mode, []).append((j, model, pen))
 
     # Flat buffers of one whole row block (the first of any longer walk), so
     # that a block cut to c columns is one contiguous (rows, c) array.
@@ -303,6 +327,7 @@ def _sizer(models, k: int):
     inside = np.empty(cells, dtype=bool)
 
     def step(ss: SortedScores, u=None) -> list[np.ndarray]:
+        w = ss.sorted.shape[1]
         out = [np.empty(ss.n, dtype=np.int64) for _ in models]
         for model, sizes in zip(models, out):
             if model.spec.method == "fixed_k":
@@ -314,15 +339,19 @@ def _sizer(models, k: int):
             for mode, group in groups.items():
                 if mode == "naive":
                     for j, model, _ in group:
+                        if w < k and (cumsum[:, -1] < model.tau_hat).any():
+                            raise ValueError(_too_narrow(w, k))
                         out[j][rows], v = _naive_cut(srt, cumsum, model.tau_hat)
                         if model.spec.randomized:
                             out[j][rows] -= u[rows] <= v
                     continue
                 lower = (1.0 - srt.max(axis=0) if mode == "lac"
                          else np.concatenate(([0.0], cumsum[:, :-1].min(axis=0))))
-                cuts = [np.searchsorted(lower if pen is None else lower + pen, model.tau_hat,
+                cuts = [np.searchsorted(lower if pen is None else lower + pen[:w], model.tau_hat,
                                         "right") for _, model, pen in group]
                 width = max(cuts)
+                if w < k and width == w:
+                    raise ValueError(_too_narrow(w, k))
                 at = u[rows, None] if mode == "u" else 1.0
                 block = _score_base(srt[:, :width], cumsum[:, :width], mode, at,
                                     base[:h * width].reshape(h, width))
@@ -336,7 +365,12 @@ def _sizer(models, k: int):
                         np.minimum(out[j][rows] + 1, k, out=out[j][rows])
         return out
 
+    step.reach = reach
     return step
+
+
+def _too_narrow(w: int, k: int) -> str:
+    return f"a set may reach past the {w} sorted columns held of K={k}"
 
 
 def set_sizes(model: ConformalModel, ss: SortedScores, u=None) -> np.ndarray:

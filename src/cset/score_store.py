@@ -162,7 +162,9 @@ class SortedScores:
     row prefix sums. Equal probabilities are ordered by seeded random keys
     (see :func:`sort_scores`), so ``perm`` rows are always true
     permutations and a given seed always yields the same order. ``perm`` is
-    built from the kept probabilities when first read.
+    built from the kept probabilities when first read. ``sorted`` and
+    ``cumsum`` may hold only the first columns of the sort; K is that of the
+    probabilities, and ``perm`` always has K columns.
     """
 
     sorted: np.ndarray
@@ -189,7 +191,7 @@ class SortedScores:
 
     @property
     def n_classes(self) -> int:
-        return self.sorted.shape[1]
+        return self._probs.shape[1]
 
     @property
     def perm(self) -> np.ndarray:
@@ -215,7 +217,8 @@ class SortedScores:
         is found in its row of ``perm``. A label outside [0, K), or not a
         whole number, is a DataError.
         """
-        n, k = self.sorted.shape
+        n, w = self.sorted.shape
+        k = self.n_classes
         labels = np.asarray(labels)
         _check(labels.shape == (n,), "labels must be one integer per row")
         if self._ranked is not None:
@@ -228,9 +231,12 @@ class SortedScores:
         ranks = np.empty(n, dtype=np.intp)
         for rows in _row_blocks(n, k):
             ranks[rows] = np.count_nonzero(self._probs[rows] > p_y[rows, None], axis=1)
-        # The label's run of equal values starts at its count.
-        tied = np.flatnonzero(
-            (ranks < k - 1) & (self.sorted[at, np.minimum(ranks + 1, k - 1)] == p_y))
+        # The label's run of equal values starts at its count; a row whose next
+        # cell is not stored counts its cells equal to the label.
+        tied = (ranks < k - 1) & (self.sorted[at, np.minimum(ranks + 1, w - 1)] == p_y)
+        far = np.flatnonzero((ranks >= w - 1) & (ranks < k - 1))
+        tied[far] = np.count_nonzero(self._probs[far] == p_y[far, None], axis=1) > 1
+        tied = np.flatnonzero(tied)
         if tied.size:
             ranks[tied] = np.argmax(self.take(tied).perm == labels[tied, None], axis=1)
         ranks += 1
@@ -238,12 +244,27 @@ class SortedScores:
         object.__setattr__(self, "_ranked", (labels.copy(), ranks))
         return ranks
 
+    def label_cells(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rank, s, rho) of each row's label: its :meth:`label_ranks` rank,
+        its probability, and the mass strictly above it (0.0 at rank 1),
+        read from ``sorted`` and ``cumsum``; all a calibration reads of a row."""
+        ranks = self.label_ranks(labels)
+        idx = ranks - 1
+        rows = np.arange(self.n)
+        rho = np.where(idx > 0, self.cumsum[rows, np.maximum(idx - 1, 0)], 0.0)
+        return ranks, self.sorted[rows, idx], rho
+
     def top_classes(self, sizes: np.ndarray) -> list[list[int]]:
         """``perm[i, :sizes[i]]`` of every row i, as lists. A row with no tie
         in those cells or at their edge lists its cells at or above the last
-        one by descending probability, without ``perm``."""
-        n, k = self.sorted.shape
+        one by descending probability, without ``perm``. The edge check reads
+        column max(sizes), so fewer stored columns than that, below K, are a
+        ValueError."""
+        n, w = self.sorted.shape
+        k = self.n_classes
         m = min(k, int(sizes.max(initial=0)) + 1)  # no set reaches past column m - 1
+        if m > w:
+            raise ValueError(f"sets of up to {m - 1} classes need {m} sorted columns, not {w}")
         tied = ((self.sorted[:, 1:m] == self.sorted[:, :m - 1])
                 & (np.arange(m - 1) < sizes[:, None])).any(axis=1)
         edge = np.where((sizes > 0) & ~tied, self.sorted[np.arange(n), sizes - 1], np.inf)
@@ -256,6 +277,31 @@ class SortedScores:
             out[from_perm] = self.take(tied).perm[np.arange(k) < sizes[tied, None]]
         flat, ends = out.tolist(), np.cumsum(sizes).tolist()
         return [flat[end - size:end] for size, end in zip(sizes.tolist(), ends)]
+
+
+@dataclass(frozen=True, eq=False)
+class _LabelCells:
+    """The :meth:`SortedScores.label_cells` of some labels, gathered without
+    keeping the sorted rows. It stands in for their SortedScores wherever
+    only the labels' cells are read: tuning.fit_model and what it calls."""
+
+    labels: np.ndarray
+    ranks: np.ndarray
+    s: np.ndarray
+    rho: np.ndarray
+    n_classes: int
+
+    @property
+    def n(self) -> int:
+        return self.labels.shape[0]
+
+    def label_cells(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not np.array_equal(labels, self.labels):
+            raise ValueError("these are the cells of other labels")
+        return self.ranks, self.s, self.rho
+
+    def label_ranks(self, labels: np.ndarray) -> np.ndarray:
+        return self.label_cells(labels)[0]
 
 
 def check_temperature(temperature: float) -> None:
@@ -282,7 +328,8 @@ def softmax(m: ScoreMatrix, temperature: float = 1.0) -> ScoreMatrix:
     return ScoreMatrix._trusted(e, m.labels, "probabilities")
 
 
-def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0) -> SortedScores:
+def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0, *,
+                _width: int | None = None) -> SortedScores:
     """Descending per-row sort with seeded uniform tie-breaking.
 
     Equal entries of a row are ordered by an auxiliary uniform key. The key
@@ -297,6 +344,9 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0) -> SortedScor
     values have equal bits, save -0.0 and 0.0, so ties show in neither
     ``sorted`` nor ``cumsum``; a block with a -0.0 is gathered through the
     tie order. The result keeps the probabilities to build ``perm`` from.
+    ``_width`` (private; default K) keeps only the first columns of
+    ``sorted`` and ``cumsum``, with the bits of the full sort's (see
+    :func:`_sort_rows`).
     """
     if m.kind != "probabilities":
         raise ValueError("sort_scores expects probabilities; apply softmax first")
@@ -304,18 +354,34 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0) -> SortedScor
         raise ValueError(f"first_row must be nonnegative, got {first_row}")
     seeds.sequence(seed)  # refuse a negative seed here: ties read it only when ordered
     n, k = m.scores.shape
+    w = k if _width is None else _width
     rows = np.arange(first_row, first_row + n)
-    srt = np.empty((n, k))
-    cumsum = np.empty((n, k))
+    srt = np.empty((n, w))
+    cumsum = np.empty((n, w))
     for lo in range(0, n, _SORT_BLOCK_ROWS):
         hi = min(lo + _SORT_BLOCK_ROWS, n)
-        block = m.scores[lo:hi]
-        if np.signbit(block).any():
-            srt[lo:hi] = np.take_along_axis(block, _tie_ordered(block, seed, rows[lo:hi]), 1)
-        else:
-            srt[lo:hi] = np.sort(block, axis=1)[:, ::-1]
-        np.cumsum(srt[lo:hi], axis=1, out=cumsum[lo:hi])
+        _sort_rows(m.scores[lo:hi], seed, rows[lo:hi], srt[lo:hi], cumsum[lo:hi])
     return SortedScores(srt, None, cumsum, m.scores, seed, rows)
+
+
+def _sort_rows(block: np.ndarray, seed: int, rows: np.ndarray, srt: np.ndarray,
+               cumsum: np.ndarray) -> None:
+    """The w = srt.shape[1] largest values of each probability row of block,
+    descending, into srt, and their prefix sums into cumsum.
+
+    Below K, np.partition finds the top w values and only those are sorted.
+    Equal values have equal bits, so these are the bits of the full sort's
+    first w cells, and their sequential cumsum is too. A block with a -0.0
+    takes the full path through the tie order of key rows ``rows``.
+    """
+    k, w = block.shape[1], srt.shape[1]
+    if np.signbit(block).any():
+        srt[:] = np.take_along_axis(block, _tie_ordered(block, seed, rows)[:, :w], 1)
+    elif w < k:
+        srt[:] = np.sort(np.partition(block, k - w, axis=1)[:, k - w:], axis=1)[:, ::-1]
+    else:
+        srt[:] = np.sort(block, axis=1)[:, ::-1]
+    np.cumsum(srt, axis=1, out=cumsum)
 
 
 def _tie_ordered(scores: np.ndarray, seed: int, rows: np.ndarray) -> np.ndarray:
