@@ -304,8 +304,8 @@ def _sizer(models, k: int):
     randomized models only. ss may hold fewer sorted columns than K (see
     sort_scores); a cut that reaches that width is a ValueError, never a
     set sized short. step.reach is the largest set any of the models can
-    give (see _reach), so sorted columns past it are never read but by
-    SortedScores.top_classes' edge check, which reads one more."""
+    give (see _reach): the step reads no sorted column past it, and
+    SortedScores.top_classes' edge check reads one more."""
     groups: dict[str, list] = {}
     reach = 0
     for j, model in enumerate(models):
