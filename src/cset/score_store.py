@@ -231,11 +231,11 @@ class SortedScores:
         ranks = np.empty(n, dtype=np.intp)
         for rows in _row_blocks(n, k):
             ranks[rows] = np.count_nonzero(self._probs[rows] > p_y[rows, None], axis=1)
-        # The label's run of equal values starts at its count; a row whose next
-        # cell is not stored counts its cells equal to the label.
+        # The label's run of equal values starts at its count.
         tied = (ranks < k - 1) & (self.sorted[at, np.minimum(ranks + 1, w - 1)] == p_y)
-        far = np.flatnonzero((ranks >= w - 1) & (ranks < k - 1))
-        tied[far] = np.count_nonzero(self._probs[far] == p_y[far, None], axis=1) > 1
+        if w < k:  # a row whose next cell is not stored counts its cells equal to the label
+            far = np.flatnonzero(ranks >= w - 1)
+            tied[far] = np.count_nonzero(self._probs[far] == p_y[far, None], axis=1) > 1
         tied = np.flatnonzero(tied)
         if tied.size:
             ranks[tied] = np.argmax(self.take(tied).perm == labels[tied, None], axis=1)
