@@ -17,7 +17,9 @@ tail_permute rows are split between tied and tie-free ones, an
 and `calibrate` and `predict` with raps models (randomized, deterministic,
 boundary-inclusive) and fixed_k whose sets reach far fewer ranks than K,
 so `predict` sorts only those ranks, on the logit file and on the
-tie-heavy one.
+tie-heavy one. Last of all, `calibrate` (raps, reaching fewer ranks than
+K), `predict`, `evaluate` and `tune` on the tie-heavy rows with about half
+their zero cells stored as -0.0, which are sorted through the tie order.
 To check that a change keeps every output byte, run it against each
 checkout and diff the two listings:
 
@@ -149,6 +151,15 @@ def flows():
            "--seed", "23", "--out", "zr_ties_raps"]
     yield ["predict", "--model", "zr_ties_raps/model.txt", "--input", "ties.bin", "--seed", "24",
            "--out", "zr_pred_ties_raps"]
+    # A row block holding a -0.0 is sorted through the seeded tie order.
+    signed = ["--input", "signed.bin"]
+    yield ["calibrate", *signed, "--method", "raps", "--lambda", "0.2", "--seed", "25",
+           "--out", "zs_signed_raps"]
+    yield ["predict", "--model", "zs_signed_raps/model.txt", *signed, "--seed", "26",
+           "--out", "zs_pred_signed"]
+    yield ["evaluate", "--model", "zs_signed_raps/model.txt", *signed, "--seed", "27",
+           "--out", "zs_eval_signed"]
+    yield ["tune", *signed, "--seed", "28", "--out", "zs_tune_signed"]
 
 
 def write_inputs() -> None:
@@ -156,7 +167,9 @@ def write_inputs() -> None:
     1500 x 20 probability file whose rows are thick with exact ties, a
     3000 x 100 Dirichlet(0.02) probability file whose labels follow the
     rows (stored as float32, about an eighth of its cells are exact zeros),
-    and a 4000 x 50 logit file whose labels follow the logits."""
+    a 4000 x 50 logit file whose labels follow the logits, and last the
+    tie-heavy file's rows again with about half their zero cells stored
+    as -0.0."""
     g = np.random.default_rng(0)
     z = 2.0 * g.normal(size=(2000, 20))
     labels = np.argmax(z + g.gumbel(size=z.shape), axis=1)
@@ -173,6 +186,10 @@ def write_inputs() -> None:
     z = 2.0 * g.normal(size=(4000, 50))
     labels = np.argmax(z + g.gumbel(size=z.shape), axis=1)
     cset.save_scores(cset.ScoreMatrix(z, labels, "logits"), "wide.bin", "binary")
+    ties = cset.load_scores("ties.bin")
+    x = ties.scores.copy()
+    x[(x == 0) & (g.random(x.shape) < 0.5)] = -0.0
+    cset.save_scores(cset.ScoreMatrix(x, ties.labels, "probabilities"), "signed.bin", "binary")
 
 
 def run(argv) -> None:

@@ -90,8 +90,8 @@ def _strata(s: str) -> tuple:
     out = []
     try:
         for part in s.split(","):
-            lo, _, hi = part.partition("-")
-            out.append((int(lo), int(hi if hi else lo)))
+            lo, dash, hi = part.partition("-")  # "2" is 2-2; "2-" is refused
+            out.append((int(lo), int(hi if dash else lo)))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad strata {s!r}, expected like 0-1,2-3,4-10") from None
     try:

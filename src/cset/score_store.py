@@ -25,8 +25,6 @@ _HEAD = struct.Struct("<BQQ")
 _HEAD_BYTES = len(_MAGIC) + _HEAD.size
 _ROW_SUM_OK = 1e-6
 _ROW_SUM_FIX = 1e-3
-# Rows per block in sort_scores; bounds its temporaries at this many rows x K.
-_SORT_BLOCK_ROWS = 256
 # Cells per row block of every block walk (see _row_blocks); bounds each
 # block-sized temporary at this many cells (512 KB of float64).
 _BLOCK_CELLS = 1 << 16
@@ -340,13 +338,14 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0, *,
     exactly ``np.lexsort((keys, -scores), axis=1)`` over the full n x K key
     matrix, so seeded results match earlier releases.
 
-    Only the values are sorted, in blocks of ``_SORT_BLOCK_ROWS`` rows. Equal
-    values have equal bits, save -0.0 and 0.0, so ties show in neither
+    Only the values are sorted, in the row blocks of :func:`_row_blocks`.
+    Equal values have equal bits, save -0.0 and 0.0, so ties show in neither
     ``sorted`` nor ``cumsum``; a block with a -0.0 is gathered through the
     tie order. The result keeps the probabilities to build ``perm`` from.
     ``_width`` (private; default K) keeps only the first columns of
-    ``sorted`` and ``cumsum``, with the bits of the full sort's (see
-    :func:`_sort_rows`).
+    ``sorted`` and ``cumsum``: below K, np.partition finds each row's top
+    ``_width`` values and only those are sorted, so both hold the full
+    sort's bits in those columns.
     """
     if m.kind != "probabilities":
         raise ValueError("sort_scores expects probabilities; apply softmax first")
@@ -358,76 +357,50 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0, *,
     rows = np.arange(first_row, first_row + n)
     srt = np.empty((n, w))
     cumsum = np.empty((n, w))
-    for lo in range(0, n, _SORT_BLOCK_ROWS):
-        hi = min(lo + _SORT_BLOCK_ROWS, n)
-        _sort_rows(m.scores[lo:hi], seed, rows[lo:hi], srt[lo:hi], cumsum[lo:hi])
+    for block in _row_blocks(n, k):
+        p = m.scores[block]
+        if np.signbit(p).any():
+            srt[block] = np.take_along_axis(p, _tie_ordered(p, seed, rows[block])[:, :w], 1)
+        elif w < k:
+            srt[block] = np.sort(np.partition(p, k - w, axis=1)[:, k - w:], axis=1)[:, ::-1]
+        else:
+            srt[block] = np.sort(p, axis=1)[:, ::-1]
+        np.cumsum(srt[block], axis=1, out=cumsum[block])
     return SortedScores(srt, None, cumsum, m.scores, seed, rows)
 
 
-def _sort_rows(block: np.ndarray, seed: int, rows: np.ndarray, srt: np.ndarray,
-               cumsum: np.ndarray) -> None:
-    """The w = srt.shape[1] largest values of each probability row of block,
-    descending, into srt, and their prefix sums into cumsum.
-
-    Below K, np.partition finds the top w values and only those are sorted.
-    Equal values have equal bits, so these are the bits of the full sort's
-    first w cells, and their sequential cumsum is too. A block with a -0.0
-    takes the full path through the tie order of key rows ``rows``.
-    """
-    k, w = block.shape[1], srt.shape[1]
-    if np.signbit(block).any():
-        srt[:] = np.take_along_axis(block, _tie_ordered(block, seed, rows)[:, :w], 1)
-    elif w < k:
-        srt[:] = np.sort(np.partition(block, k - w, axis=1)[:, k - w:], axis=1)[:, ::-1]
-    else:
-        srt[:] = np.sort(block, axis=1)[:, ::-1]
-    np.cumsum(srt, axis=1, out=cumsum)
-
-
 def _tie_ordered(scores: np.ndarray, seed: int, rows: np.ndarray) -> np.ndarray:
-    """perm of some probability rows, equal cells ordered by :func:`_order_ties`
-    on the keys of row ``rows[i]`` of the key stream (see :func:`sort_scores`)."""
+    """perm of some probability rows: row i is ``np.lexsort((keys, -scores[i]))``
+    with the keys of row ``rows[i]`` of the key stream (see :func:`sort_scores`).
+    Keys are drawn and the lexsort run only for rows with a tie."""
     n, k = scores.shape
     perm = np.empty((n, k), dtype=np.intp)
-    rng = seeds.rng(seed, seeds.TIEBREAK)
-    start = rng.bit_generator.state
-    for lo in range(0, n, _SORT_BLOCK_ROWS):
-        block, order = scores[lo:lo + _SORT_BLOCK_ROWS], perm[lo:lo + _SORT_BLOCK_ROWS]
+    for block in _row_blocks(n, k):
+        p, order = scores[block], perm[block]
         # An unstable ascending sort, reversed, is right up to the order
-        # inside runs of equal values, which _order_ties sets.
-        order[:] = np.argsort(block, axis=1)[:, ::-1]
-        srt = np.take_along_axis(block, order, axis=1)
-        equal = srt[:, 1:] == srt[:, :-1]
-        keys = np.empty(block.shape)  # read in tied rows only
-        for i in np.flatnonzero(equal.any(axis=1)).tolist():
-            # random() takes one 64-bit step per float64: skip the rows before.
-            rng.bit_generator.state = start
-            rng.bit_generator.advance(int(rows[lo + i]) * k)
-            keys[i] = rng.random(k)
-        _order_ties(order, srt, block, keys, equal)
+        # inside runs of equal values.
+        order[:] = np.argsort(p, axis=1)[:, ::-1]
+        srt = np.take_along_axis(p, order, axis=1)
+        tied = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+        if tied.size:
+            keys = _tie_keys(seed, rows[block][tied], k)
+            order[tied] = np.lexsort((keys, -p[tied]), axis=1)
     perm.setflags(write=False)
     return perm
 
 
-def _order_ties(perm, srt, scores, keys, equal) -> None:
-    """Reorder each run of equal sorted values by key, in place.
-
-    ``equal[i, j]`` says sorted cells j and j+1 of row i are equal. Within a
-    run, cells go in ascending key order, and by class index on equal keys,
-    as a stable lexsort would put them.
-    """
-    rows, k = perm.shape
-    continues = np.zeros((rows, k), dtype=bool)
-    continues[:, 1:] = equal
-    in_run = continues.copy()
-    in_run[:, :-1] |= equal
-    flat = np.flatnonzero(in_run)
-    run_id = np.cumsum(~continues.reshape(-1)[flat])
-    r, c = np.divmod(flat, k)
-    cls = perm[r, c]
-    cls = cls[np.lexsort((cls, keys[r, cls], run_id))]
-    perm[r, c] = cls
-    srt[r, c] = scores[r, cls]
+def _tie_keys(seed: int, rows: np.ndarray, k: int) -> np.ndarray:
+    """The K tie keys of each row ``rows[i]`` of the matrix: draws
+    ``rows[i] * K`` to ``rows[i] * K + K - 1`` of the substream (seed, TIEBREAK)."""
+    rng = seeds.rng(seed, seeds.TIEBREAK)
+    start = rng.bit_generator.state
+    keys = np.empty((len(rows), k))
+    for i, row in enumerate(rows.tolist()):
+        # random() takes one 64-bit step per float64: skip the rows before.
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(row * k)
+        keys[i] = rng.random(k)
+    return keys
 
 
 @dataclass(frozen=True)

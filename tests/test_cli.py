@@ -114,7 +114,7 @@ def test_bad_alpha_is_usage_error_before_io(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("strata", ["5-2", "0-3,2-5"])
+@pytest.mark.parametrize("strata", ["5-2", "0-3,2-5", "0-1,2-"])
 def test_bad_strata_is_usage_error_before_io(tmp_path, capsys, strata):
     code = run([
         "evaluate", "--model", str(tmp_path / "never_created.txt"),
@@ -352,6 +352,7 @@ def test_config_unknown_key_is_usage_error(tmp_path, four_row_file, capsys):
     ("calibrate", {"deterministic": "false"}),
     ("tune", {"tune_objective": "sizes"}),
     ("calibrate", {"seed": 1.5}),
+    ("tune", {"strata": "0-1,2-"}),
 ])
 def test_config_values_pass_the_flag_validators(tmp_path, four_row_file, capsys, command, config):
     cfg = tmp_path / "cfg.json"

@@ -75,7 +75,6 @@ def test_every_width_gives_the_full_sorts_bits(block_rows, case):
     n, k = m.scores.shape
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(score_store, "_BLOCK_CELLS", block_rows * k)
-        mp.setattr(score_store, "_SORT_BLOCK_ROWS", 2)  # -0.0 rows sort in blocks of their own
         full = sort_scores(m, seed=5, first_row=3)
         ranks = full.label_ranks(labels)
         cells = full.label_cells(labels)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import cset
 from cset import score_store, seeds
-from cset.score_store import _SORT_BLOCK_ROWS, DataError, ScoreMatrix, SplitSpec, _order_ties
+from cset.score_store import DataError, ScoreMatrix, SplitSpec
 
 from conftest import dirichlet_matrix, logit_matrices
 
@@ -348,6 +349,17 @@ def test_sort_is_bijection_property(k, n, seed):
 # --- sort_scores against the full-matrix lexsort it replaces --------------
 
 ROW_SHAPES = ("tie_free", "sparse", "integer", "all_equal")
+# Rows per row block in the sort tests below, so that a few dozen rows span
+# several blocks of the sort and of the tie order, the last one partial.
+SORT_ROWS = 16
+
+
+@contextlib.contextmanager
+def _sort_blocks(k):
+    """Inside the with block, every row block holds SORT_ROWS rows of K cells."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(score_store, "_BLOCK_CELLS", SORT_ROWS * k)
+        yield
 
 
 def _rows(shape, n, k, seed):
@@ -386,25 +398,27 @@ def _assert_matches_reference(m, seed):
 
 @given(
     st.sampled_from(ROW_SHAPES),
-    st.integers(1, 3 * _SORT_BLOCK_ROWS + 7),
+    st.integers(1, 3 * SORT_ROWS + 7),
     st.sampled_from([2, 3, 5, 11]),
     st.integers(0, 2**32 - 1),
 )
 def test_sort_matches_lexsort_reference(shape, n, k, seed):
-    _assert_matches_reference(_rows(shape, n, k, seed), seed)
+    with _sort_blocks(k):
+        _assert_matches_reference(_rows(shape, n, k, seed), seed)
 
 
 @pytest.mark.parametrize("tied_block", ["first", "last"])
 def test_sort_matches_reference_with_ties_in_one_block(tied_block):
     # tie-free rows except in one block; n is not a multiple of the block
-    n, k = 2 * _SORT_BLOCK_ROWS + 37, 6
+    n, k = 2 * SORT_ROWS + 7, 6
     scores = _rows("tie_free", n, k, seed=3).scores.copy()
-    rows = [1, 40] if tied_block == "first" else [n - 30, n - 1]
+    rows = [1, 12] if tied_block == "first" else [n - 6, n - 1]
     scores[rows[0], [1, 3, 4]] = scores[rows[0], 1]
     scores[rows[1], 2:] = 0.0
     scores /= scores.sum(axis=1, keepdims=True)
     m = ScoreMatrix(scores, np.zeros(n, dtype=int), "probabilities")
-    _assert_matches_reference(m, seed=8)
+    with _sort_blocks(k):
+        _assert_matches_reference(m, seed=8)
 
 
 def test_sort_matches_reference_on_signed_zero_runs():
@@ -413,12 +427,11 @@ def test_sort_matches_reference_on_signed_zero_runs():
     _assert_matches_reference(m, seed=2)
 
 
-def test_order_ties_breaks_equal_keys_by_class_index():
+def test_order_ties_breaks_equal_keys_by_class_index(monkeypatch):
     # a stable lexsort keeps class order when the keys of a run are equal
+    monkeypatch.setattr(score_store, "_tie_keys", lambda seed, rows, k: np.zeros((len(rows), k)))
     scores = np.array([[0.1, 0.3, 0.3, 0.3]])
-    perm = np.array([[3, 2, 1, 0]])
-    srt = np.take_along_axis(scores, perm, axis=1)
-    _order_ties(perm, srt, scores, np.zeros((1, 4)), srt[:, 1:] == srt[:, :-1])
+    perm = score_store._tie_ordered(scores, 0, np.arange(1))
     np.testing.assert_array_equal(perm, [[1, 2, 3, 0]])
 
 
@@ -444,7 +457,7 @@ def _unbuilt_sorts(shape, n, k, seed, signed, lo):
 
 SORTS = (
     st.sampled_from(ROW_SHAPES),
-    st.integers(1, 2 * _SORT_BLOCK_ROWS + 9),
+    st.integers(1, 2 * SORT_ROWS + 9),
     st.sampled_from([2, 5, 11]),
     st.integers(0, 2**32 - 1),
     st.booleans(),
@@ -455,28 +468,30 @@ SORTS = (
 @given(*SORTS)
 def test_counted_label_ranks_match_the_perm_oracle(shape, n, k, seed, signed, data):
     lo = data.draw(st.integers(0, n - 1))
-    m, perm, sorts = _unbuilt_sorts(shape, n, k, seed, signed, lo)
-    for ss, rows in sorts:
-        ranks = ss.label_ranks(m.labels[rows])  # before perm is built
-        want = _whole_matrix_ranks(perm[rows], m.labels[rows])
-        assert ranks.dtype == want.dtype
-        np.testing.assert_array_equal(ranks, want)
-        np.testing.assert_array_equal(ranks, _whole_matrix_ranks(ss.perm, m.labels[rows]))
+    with _sort_blocks(k):
+        m, perm, sorts = _unbuilt_sorts(shape, n, k, seed, signed, lo)
+        for ss, rows in sorts:
+            ranks = ss.label_ranks(m.labels[rows])  # before perm is built
+            want = _whole_matrix_ranks(perm[rows], m.labels[rows])
+            assert ranks.dtype == want.dtype
+            np.testing.assert_array_equal(ranks, want)
+            np.testing.assert_array_equal(ranks, _whole_matrix_ranks(ss.perm, m.labels[rows]))
 
 
 @given(*SORTS)
 def test_top_classes_are_the_perm_prefixes(shape, n, k, seed, signed, data):
     lo = data.draw(st.integers(0, n - 1))
-    _, perm, sorts = _unbuilt_sorts(shape, n, k, seed, signed, lo)
-    for ss, rows in sorts:
-        sizes = np.random.default_rng(seed).integers(0, k + 1, ss.n)
-        got = ss.top_classes(sizes)  # before perm is built
-        assert got == [perm[row, :size].tolist() for row, size in zip(rows, sizes)]
+    with _sort_blocks(k):
+        _, perm, sorts = _unbuilt_sorts(shape, n, k, seed, signed, lo)
+        for ss, rows in sorts:
+            sizes = np.random.default_rng(seed).integers(0, k + 1, ss.n)
+            got = ss.top_classes(sizes)  # before perm is built
+            assert got == [perm[row, :size].tolist() for row, size in zip(rows, sizes)]
 
 
 @given(
     st.sampled_from(ROW_SHAPES),
-    st.integers(2, 2 * _SORT_BLOCK_ROWS + 9),
+    st.integers(2, 2 * SORT_ROWS + 9),
     st.sampled_from([2, 4, 9]),
     st.integers(0, 2**32 - 1),
     st.data(),
@@ -484,16 +499,17 @@ def test_top_classes_are_the_perm_prefixes(shape, n, k, seed, signed, data):
 def test_sort_rows_do_not_depend_on_later_rows(shape, n, k, seed, data):
     m = _rows(shape, n, k, seed)
     j = data.draw(st.integers(1, n - 1))
-    full = cset.sort_scores(m, seed=seed)
-    head = cset.sort_scores(m.take(np.arange(j)), seed=seed)
-    np.testing.assert_array_equal(full.perm[:j], head.perm)
+    with _sort_blocks(k):
+        full = cset.sort_scores(m, seed=seed)
+        head = cset.sort_scores(m.take(np.arange(j)), seed=seed)
+        np.testing.assert_array_equal(full.perm[:j], head.perm)
     assert full.sorted[:j].tobytes() == head.sorted.tobytes()
     assert full.cumsum[:j].tobytes() == head.cumsum.tobytes()
 
 
 @given(
     st.sampled_from(ROW_SHAPES),
-    st.integers(1, 2 * _SORT_BLOCK_ROWS + 9),
+    st.integers(1, 2 * SORT_ROWS + 9),
     st.sampled_from([2, 5, 11]),
     st.integers(0, 2**32 - 1),
     st.data(),
@@ -504,9 +520,10 @@ def test_sort_of_rows_from_first_row_matches_those_rows_of_the_whole_sort(
     m = _rows(shape, n, k, seed)
     lo = data.draw(st.integers(0, n - 1))
     hi = data.draw(st.integers(lo + 1, n))
-    full = cset.sort_scores(m, seed=seed)
-    part = cset.sort_scores(m.take(np.arange(lo, hi)), seed=seed, first_row=lo)
-    np.testing.assert_array_equal(part.perm, full.perm[lo:hi])
+    with _sort_blocks(k):
+        full = cset.sort_scores(m, seed=seed)
+        part = cset.sort_scores(m.take(np.arange(lo, hi)), seed=seed, first_row=lo)
+        np.testing.assert_array_equal(part.perm, full.perm[lo:hi])
     assert part.sorted.tobytes() == full.sorted[lo:hi].tobytes()
     assert part.cumsum.tobytes() == full.cumsum[lo:hi].tobytes()
 
