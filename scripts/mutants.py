@@ -78,7 +78,7 @@ def _copy(tmp: Path) -> None:
 def _pytest(tmp: Path, tests) -> str:
     """'passed', 'failed', 'timed out' or 'exit <code>' for the tests on the copy."""
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(tmp / "src")}
     try:
         done = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
