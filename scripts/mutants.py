@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 SORT_TESTS = ("tests/test_score_store.py", "tests/test_partial_sort.py",
               "tests/test_tie_order_on_demand.py")
+PLATT_TESTS = ("tests/test_platt.py",)
 
 MUTANTS = [
     # _tie_keys: each row's keys start at draw row * K of the stream ...
@@ -66,6 +67,17 @@ MUTANTS = [
            "np.partition(p, k - w + 1, axis=1)", SORT_TESTS),
     # and gathers a block holding a -0.0 through the tie order.
     Mutant("score_store.py", "if np.signbit(p).any():", "if False:", SORT_TESTS),
+    # fit_temperature settles a comparison from a known slope only beyond its
+    # rounding margin,
+    Mutant("platt.py", "math.isfinite(margin) and margin > err(c) + err(d) and (", "(",
+           PLATT_TESTS),
+    # on the side of the minimum that slope shows,
+    Mutant("platt.py", "return slope < 0", "return slope > 0", PLATT_TESTS),
+    # does settle one when it can,
+    Mutant("platt.py", "for q, slope, bound in known:", "for q, slope, bound in ():",
+           PLATT_TESTS),
+    # and frees its shifted copy of the logits before nll makes another.
+    Mutant("platt.py", "    del f  #", "    pass  #", PLATT_TESTS),
 ]
 
 

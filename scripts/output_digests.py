@@ -19,7 +19,9 @@ boundary-inclusive) and fixed_k whose sets reach far fewer ranks than K,
 so `predict` sorts only those ranks, on the logit file and on the
 tie-heavy one. Last of all, `calibrate` (raps, reaching fewer ranks than
 K), `predict`, `evaluate` and `tune` on the tie-heavy rows with about half
-their zero cells stored as -0.0, which are sorted through the tie order.
+their zero cells stored as -0.0, which are sorted through the tie order,
+and `fit-temp` on a narrow bracket, on one above T = 1 and to float
+resolution.
 To check that a change keeps every output byte, run it against each
 checkout and diff the two listings:
 
@@ -160,6 +162,13 @@ def flows():
     yield ["evaluate", "--model", "zs_signed_raps/model.txt", *signed, "--seed", "27",
            "--out", "zs_eval_signed"]
     yield ["tune", *signed, "--seed", "28", "--out", "zs_tune_signed"]
+    # fit-temp on a narrow bracket with a small tol, on a bracket without
+    # T = 1, and to float resolution on the file of four row blocks.
+    yield ["fit-temp", "--input", "logits.bin", "--t-lo", "0.2", "--t-hi", "3", "--t-tol", "1e-6",
+           "--out", "zt_temp_narrow"]
+    yield ["fit-temp", "--input", "logits.bin", "--t-lo", "1.5", "--t-hi", "4", "--out",
+           "zt_temp_above_one"]
+    yield ["fit-temp", "--input", "wide.bin", "--t-tol", "1e-300", "--out", "zt_temp_to_float"]
 
 
 def write_inputs() -> None:

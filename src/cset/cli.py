@@ -289,6 +289,7 @@ def cmd_predict(args) -> int:
     sizer = _sizer((model,), scores.n_classes)
     width = min(scores.n_classes, sizer.reach + 1)
     u_rng = seeds.rng(args.seed, seeds.EVAL_U) if model.spec.randomized else None
+    names = [str(j) for j in range(scores.n_classes + 1)]  # every size and class, as text
     path = _out(args.out, "predictions.csv")
     partial = path + ".partial"
     total = 0
@@ -300,7 +301,7 @@ def cmd_predict(args) -> int:
                 sizes = sizer(ss, u)[0]
                 total += int(sizes.sum())
                 fh.writelines(
-                    ",".join(map(str, [lo + i, size, *classes])) + "\n"
+                    ",".join([str(lo + i), names[size], *[names[c] for c in classes]]) + "\n"
                     for i, (size, classes) in enumerate(zip(sizes.tolist(), ss.top_classes(sizes)))
                 )
         os.replace(partial, path)

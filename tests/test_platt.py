@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cset
+from cset import platt
 from cset.platt import DEFAULT_BOUNDS, DEFAULT_TOL
 from cset.score_store import _BLOCK_CELLS, ScoreMatrix
 from cset.seeds import rng
@@ -162,6 +164,111 @@ def test_nll_evaluation_blocks_match_one_shot_formula():
     g = np.random.default_rng(11)
     m = ScoreMatrix(g.normal(0.0, 3.0, size=(n, k)), g.integers(0, k, n), "logits")
     assert cset.fit_temperature(m) == _reference_fit(m)
+
+
+# --- the points the search skips -------------------------------------------
+
+def _reference_fit_to_float(m, bounds, tol):
+    """_reference_fit with the second stopping rule of fit_temperature, so
+    that it also returns for a tol below the float spacing."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = bounds
+    base = _reference_nll(m, 1.0)
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = _reference_nll(m, c), _reference_nll(m, d)
+    iterations = 0
+    while b - a > tol and a < c < d < b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _reference_nll(m, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _reference_nll(m, d)
+        iterations += 1
+    t = 0.5 * (a + b)
+    best = _reference_nll(m, t)
+    if lo <= 1.0 <= hi and base < best:
+        t, best = 1.0, base
+    return cset.TemperatureFit(t, base, best, iterations)
+
+
+def _assert_same_fit(fit, ref):
+    assert fit.temperature == ref.temperature
+    assert fit.nll_before == ref.nll_before
+    assert fit.nll_after == ref.nll_after
+    assert fit.iterations == ref.iterations
+
+
+def test_search_evaluates_fewer_temperatures_than_the_reference(monkeypatch):
+    evaluated, reference = [], []
+    nll_at = platt._nll_at
+
+    def counted_nll_at(m):
+        at = nll_at(m)
+
+        def counted(temperature, *args, **kwargs):
+            evaluated.append(temperature)
+            return at(temperature, *args, **kwargs)
+
+        return counted
+
+    def counted_reference_nll(m, temperature):
+        reference.append(temperature)
+        return _reference_nll_uncounted(m, temperature)
+
+    _reference_nll_uncounted = _reference_nll
+    monkeypatch.setattr(platt, "_nll_at", counted_nll_at)
+    monkeypatch.setitem(globals(), "_reference_nll", counted_reference_nll)
+    m = planted_matrix(7, 0.5, n=4000)
+    _assert_same_fit(cset.fit_temperature(m), _reference_fit(m))
+    assert len(reference) == 30
+    assert len(evaluated) <= 20
+
+
+@given(logit_matrices(), st.sampled_from([DEFAULT_BOUNDS, (1e-3, 1e3), (1.5, 4.0)]))
+def test_fit_to_float_resolution_matches_reference_field_by_field(m, bounds):
+    # (1.5, 4.0) does not hold 1.0, whose slope starts the search
+    _assert_same_fit(cset.fit_temperature(m, bounds, 1e-300),
+                     _reference_fit_to_float(m, bounds, 1e-300))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-300])
+def test_fit_on_a_flat_nll_matches_reference(tol):
+    # every logit of a row equal: the nll is log K at every T, its slope 0
+    g = np.random.default_rng(3)
+    z = np.repeat(g.normal(0.0, 5.0, size=(60, 1)), 6, axis=1)
+    m = ScoreMatrix(z, g.integers(0, 6, 60), "logits")
+    fit = cset.fit_temperature(m, tol=tol)
+    _assert_same_fit(fit, _reference_fit_to_float(m, DEFAULT_BOUNDS, tol))
+    assert fit.nll_after == pytest.approx(math.log(6.0))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-300])
+def test_fit_on_separated_labels_matches_reference(tol):
+    # labels on the row max: the nll falls all the way down to t_lo
+    g = np.random.default_rng(4)
+    z = g.normal(0.0, 2.0, size=(80, 7))
+    m = ScoreMatrix(z, z.argmax(axis=1), "logits")
+    fit = cset.fit_temperature(m, tol=tol)
+    _assert_same_fit(fit, _reference_fit_to_float(m, DEFAULT_BOUNDS, tol))
+    assert fit.temperature == pytest.approx(DEFAULT_BOUNDS[0], abs=1e-3)
+
+
+def test_fit_holds_one_shifted_copy_of_the_logits_at_a_time():
+    # the block buffers are small beside a copy of these 4000 x 500 logits
+    m = planted_matrix(8, 2.0, n=4000, k=500)
+    copy_mb = m.scores.nbytes / 1e6
+    tracemalloc.start()
+    try:
+        cset.fit_temperature(m)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 1.5 * copy_mb
 
 
 # --- stopping rule and input checks ----------------------------------------
