@@ -205,7 +205,7 @@ def _assert_same_fit(fit, ref):
 
 def test_search_evaluates_fewer_temperatures_than_the_reference(monkeypatch):
     evaluated, reference = [], []
-    nll_at = platt._nll_at
+    nll_at, reference_nll = platt._nll_at, _reference_nll
 
     def counted_nll_at(m):
         at = nll_at(m)
@@ -218,9 +218,8 @@ def test_search_evaluates_fewer_temperatures_than_the_reference(monkeypatch):
 
     def counted_reference_nll(m, temperature):
         reference.append(temperature)
-        return _reference_nll_uncounted(m, temperature)
+        return reference_nll(m, temperature)
 
-    _reference_nll_uncounted = _reference_nll
     monkeypatch.setattr(platt, "_nll_at", counted_nll_at)
     monkeypatch.setitem(globals(), "_reference_nll", counted_reference_nll)
     m = planted_matrix(7, 0.5, n=4000)
