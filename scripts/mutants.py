@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 SORT_TESTS = ("tests/test_score_store.py", "tests/test_partial_sort.py",
               "tests/test_tie_order_on_demand.py")
 PLATT_TESTS = ("tests/test_platt.py",)
+SYNTH_TESTS = ("tests/test_synth_stream.py",)
 
 MUTANTS = [
     # _tie_keys: each row's keys start at draw row * K of the stream ...
@@ -78,6 +79,21 @@ MUTANTS = [
            PLATT_TESTS),
     # and frees its shifted copy of the logits before nll makes another.
     Mutant("platt.py", "    del f  #", "    pass  #", PLATT_TESTS),
+    # A synthetic evaluation stream sets each block's labels at that block's
+    # rows of the split,
+    Mutant("synth.py", "rest.labels[lo:lo + len(y)] = y", "rest.labels[:len(y)] = y",
+           SYNTH_TESTS),
+    # yields each block with its own labels, not those of the first block,
+    Mutant("synth.py", 'ScoreMatrix._trusted(observed, y, "probabilities")',
+           'ScoreMatrix._trusted(observed, rest.labels[:len(y)], "probabilities")',
+           SYNTH_TESTS),
+    # keeps the rows of the block holding the split's first row past it,
+    Mutant("synth.py", "for lo, hi in ((0, at), (at, len(p))) if",
+           "for lo, hi in ((0, at),) if", SYNTH_TESTS),
+    # and keys each block by its row in the split, not in the generated rows;
+    Mutant("synth.py", "lo = rows.start - b", "lo = rows.start", SYNTH_TESTS),
+    # the joined calibration rows stop at the split.
+    Mutant("synth.py", "        if rows.stop == b:\n            break\n", "", SYNTH_TESTS),
 ]
 
 

@@ -47,7 +47,7 @@ from .score_store import (
     softmax,
     sort_scores,
 )
-from .synth import CORRUPTIONS, SynthSpec, generate
+from .synth import CORRUPTIONS, SynthSpec, _observed, generate
 from .trials import MethodPolicy, TrialProtocol, run_trials_multi
 from .tuning import TUNE_OBJECTIVES, fit_model, tune
 
@@ -364,7 +364,7 @@ def cmd_experiment(args) -> int:
             raise ValueError("--platt-split tuning only applies to logit inputs")
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
-        m = generate(_synth_spec(args, pool, args.k or 100))[1]  # the truth is not kept
+        m = _observed(_synth_spec(args, pool, args.k or 100), pool)[0]  # no truth is kept
 
     protocol = TrialProtocol(
         n_trials=args.trials,

@@ -205,7 +205,9 @@ def evaluate_models(models, ss, labels: np.ndarray, seed: int = 0,
 
     ss is the split's SortedScores or its sorted row blocks in row order
     (each sorted from its first row), read one at a time into n-length set
-    sizes and label ranks. Randomized models share one u per row from the
+    sizes and label ranks; labels[lo:hi] is read only after the block
+    holding rows lo to hi is received, so labels may be filled in as the
+    blocks are made. Randomized models share one u per row from the
     substream (seed, EVAL_U), drawn only if some model is randomized. The
     set_sizes_many setup, strata and bins are found once. Only the first
     n_full models (all by default) get an EvalReport; each later one gets

@@ -7,8 +7,11 @@ observed score row. Because the truth is known, marginal coverage of any set
 construction can be estimated to Monte-Carlo accuracy and used as an
 independent check on conformal claims.
 
-Rows are made in blocks of about ``score_store._BLOCK_CELLS`` cells, so
-generating holds the n x K truth and observed matrices plus one block.
+Rows are made in blocks of about ``score_store._BLOCK_CELLS`` cells by one
+walk. :func:`generate` joins the truth and observed blocks into two n x K
+matrices; a synthetic trial or oracle trial joins only its tuning and
+calibration rows and reads its evaluation rows straight from the walk, one
+block at a time, so it holds no n x K matrix.
 
 Corruptions
 -----------
@@ -27,6 +30,7 @@ tail_permute(top_m)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,29 +80,75 @@ def generate(spec: SynthSpec) -> tuple[ScoreMatrix, ScoreMatrix]:
     Dirichlet rows come from normalized gamma variates. Only the statistical
     law is contractual across platforms, but a given numpy build is
     bit-reproducible for a given seed, whatever the row block: each stream is
-    drawn in one whole-matrix draw's order. Memory is the two n x K results
-    plus one block of about ``score_store._BLOCK_CELLS`` cells.
+    drawn in one whole-matrix draw's order. It joins the blocks of _walk, so
+    memory is the two n x K results plus one block.
     """
     n, k = spec.n, spec.n_classes
-    gen, r_gen = seeds.rng(spec.seed, seeds.SYNTH), seeds.rng(spec.seed, seeds.LABELS)
-    key_gen = seeds.rng(spec.seed, seeds.SYNTH, 1)
     p, labels = np.empty((n, k)), np.empty(n, dtype=np.int64)
     # Where no value moves, truth and observed share one read-only array.
-    moves = spec.corruption == "temperature" or (
-        spec.corruption == "tail_permute" and spec.corruption_param < k - 1)
-    observed = np.empty((n, k)) if moves else p
-    for rows in _row_blocks(n, k):
-        block = p[rows]
-        gen.standard_gamma(spec.concentration / k, out=block)  # the bits of gamma(c / k, 1.0)
-        np.clip(block, 1e-290, None, out=block)  # keep every class mass strictly positive
-        block /= block.sum(axis=1, keepdims=True)
-        below = np.cumsum(block, axis=1) < r_gen.random(len(block))[:, None]
-        np.minimum(below.sum(axis=1), k - 1, out=labels[rows])
-        if moves:
-            _corrupt(block, spec, key_gen, observed[rows])
+    observed = np.empty((n, k)) if _moves(spec) else p
+    for rows, truth, obs, y in _walk(spec):
+        p[rows], observed[rows], labels[rows] = truth, obs, y
+        del truth, obs
     # Both arrays are fresh and valid, so they are wrapped without a copy.
     return (ScoreMatrix._trusted(p, labels, "probabilities"),
             ScoreMatrix._trusted(observed, labels, "probabilities"))
+
+
+def _moves(spec: SynthSpec) -> bool:
+    """Whether the corruption moves some value, so observed is not the truth."""
+    return spec.corruption == "temperature" or (
+        spec.corruption == "tail_permute" and spec.corruption_param < spec.n_classes - 1)
+
+
+def _walk(spec: SynthSpec, cut: int = 0):
+    """(rows, truth, observed, labels) of each :func:`_row_blocks` block of
+    spec's rows, fresh arrays, the block holding row ``cut`` split there.
+    Observed is the truth where no value moves. Each stream (gamma, labels,
+    tail keys) is drawn in whole-matrix order, whatever the blocking."""
+    n, k = spec.n, spec.n_classes
+    gen, r_gen = seeds.rng(spec.seed, seeds.SYNTH), seeds.rng(spec.seed, seeds.LABELS)
+    key_gen = seeds.rng(spec.seed, seeds.SYNTH, 1)
+    moves = _moves(spec)
+    for rows in _row_blocks(n, k):
+        # The bits of gamma(c / k, 1.0), drawn fresh for the block.
+        p = gen.standard_gamma(spec.concentration / k, size=(rows.stop - rows.start, k))
+        np.clip(p, 1e-290, None, out=p)  # keep every class mass strictly positive
+        p /= p.sum(axis=1, keepdims=True)
+        below = np.cumsum(p, axis=1) < r_gen.random(len(p))[:, None]
+        labels = np.minimum(below.sum(axis=1), k - 1)
+        observed = p
+        if moves:
+            observed = np.empty_like(p)
+            _corrupt(p, spec, key_gen, observed)
+        at = cut - rows.start
+        for lo, hi in ((0, at), (at, len(p))) if 0 < at < len(p) else ((0, len(p)),):
+            yield (slice(rows.start + lo, rows.start + hi), p[lo:hi], observed[lo:hi],
+                   labels[lo:hi])
+        del p, observed  # the consumer's last block is freed before the next is drawn
+
+
+def _observed(spec: SynthSpec, b: int) -> tuple[ScoreMatrix | None, SimpleNamespace]:
+    """The observed rows [0, b) joined (None for b = 0), and rows [b, n) read
+    on from the walk as a ScoreBlocks is: ``n``, ``labels`` and ``blocks()``,
+    each block at its row in the split. A block's labels are set as it is
+    yielded; until then they read -1, so a read ahead is a DataError."""
+    walk, k = _walk(spec, b), spec.n_classes
+    scores, labels = np.empty((b, k)), np.empty(b, dtype=np.int64)
+    for rows, _, observed, y in walk if b else ():
+        scores[rows], labels[rows] = observed, y
+        if rows.stop == b:
+            break
+    rest = SimpleNamespace(n=spec.n - b, labels=np.full(spec.n - b, -1, dtype=np.int64))
+
+    def blocks():
+        for rows, _, observed, y in walk:
+            lo = rows.start - b
+            rest.labels[lo:lo + len(y)] = y
+            yield lo, ScoreMatrix._trusted(observed, y, "probabilities")
+
+    rest.blocks = blocks
+    return ScoreMatrix._trusted(scores, labels, "probabilities") if b else None, rest
 
 
 def _corrupt(p: np.ndarray, spec: SynthSpec, key_gen: np.random.Generator,
@@ -146,7 +196,8 @@ def oracle_coverage(
     Every trial draws fresh data, calibrates on its own rows (skipped for
     naive), and predicts on fresh evaluation rows, so the estimate
     marginalizes over everything the coverage guarantee marginalizes over.
-    The evaluation rows are sorted and sized one row block at a time.
+    The evaluation rows come from the generator one row block at a time and
+    are sorted and sized as they come.
     """
     if mspec.method == "fixed_k":
         raise ValueError("oracle_coverage covers the threshold methods, not fixed_k")
@@ -166,12 +217,10 @@ def _oracle_trial(
 ) -> float:
     """Coverage of one oracle_coverage trial; its data is released on return."""
     data_spec = replace(spec, n=n_cal + n_eval, seed=seeds.child_seed(trial_seed, seeds.SYNTH))
-    observed = generate(data_spec)[1]
+    cal, ev = _observed(data_spec, 0 if mspec.method == "naive" else n_cal)
     if mspec.method == "naive":
-        model = naive_model(mspec.alpha, observed.n_classes, mspec.randomized)
-        ev = observed
+        model = naive_model(mspec.alpha, spec.n_classes, mspec.randomized)
     else:
-        cal, ev = observed.take(slice(n_cal)), observed.take(slice(n_cal, None))
         ss_cal = sort_scores(cal, seeds.child_seed(trial_seed, seeds.SORT, 0))
         model = calibrate(ss_cal, cal.labels, mspec, seed=trial_seed)
     u = seeds.rng(trial_seed, seeds.EVAL_U).random(ev.n) if mspec.randomized else None

@@ -30,7 +30,7 @@ from .conformal import MethodSpec
 from .metrics import DifficultyRow, EvalReport, StratumRow, _validate_strata, evaluate_models
 from .platt import fit_temperature
 from .score_store import ScoreMatrix, SortedScores, SplitSpec, softmax, sort_scores, split
-from .synth import SynthSpec, generate
+from .synth import SynthSpec, _observed
 from .tuning import TUNE_OBJECTIVES, fit_model, tune
 
 PLATT_SPLITS = ("calibration", "tuning")
@@ -236,7 +236,9 @@ def run_synth_trials(
 ) -> dict[str, TrialAggregate]:
     """Fresh synthetic data every trial (the honest protocol for coverage
     claims: the guarantee is marginal over calibration and test draws, and a
-    fixed pool would freeze its own sampling noise into every trial)."""
+    fixed pool would freeze its own sampling noise into every trial). A trial
+    holds its tuning and calibration rows as one matrix and reads its
+    evaluation rows from the generator one row block at a time."""
     for s in (protocol.tune_size, protocol.cal_size, protocol.eval_size):
         if isinstance(s, float):
             raise ValueError("synthetic trials need absolute split sizes")
@@ -249,8 +251,8 @@ def run_synth_trials(
         data_spec = replace(
             sspec, n=n_total, seed=seeds.child_seed(trial_seed, seeds.SYNTH)
         )
-        observed = generate(data_spec)[1]
-        tune_m = observed.take(slice(a)) if a > 0 else None
-        return tune_m, observed.take(slice(a, b)), observed.take(slice(b, None))
+        head, eval_rows = _observed(data_spec, b)
+        tune_m = head.take(slice(a)) if a > 0 else None
+        return tune_m, head.take(slice(a, b)), eval_rows
 
     return _run_trials(draw, protocol, policies)

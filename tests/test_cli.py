@@ -697,7 +697,7 @@ def test_experiment_refuses_flags_that_reach_no_model_before_any_data(
     def no_data(*_):
         raise AssertionError("data generated before the flags were checked")
 
-    monkeypatch.setattr("cset.cli.generate", no_data)
+    monkeypatch.setattr("cset.cli._observed", no_data)
     out = tmp_path / "x"
     code = run(["experiment", "--k", "6", "--trials", "1", "--tune-size", "40",
                 "--cal-size", "50", "--eval-size", "50", "--no-sweep", *flags,
@@ -892,7 +892,7 @@ def test_experiment_refuses_platt_split_tuning_on_synthetic_data_before_generati
     def no_data(*_):
         raise AssertionError("data generated before the flags were checked")
 
-    monkeypatch.setattr("cset.cli.generate", no_data)
+    monkeypatch.setattr("cset.cli._observed", no_data)
     out = tmp_path / "x"
     code = run(["experiment", "--k", "5", "--trials", "1", "--cal-size", "50",
                 "--eval-size", "50", "--tune-size", "0", "--methods", "aps,naive", "--no-sweep",
