@@ -87,13 +87,20 @@ MUTANTS = [
     Mutant("synth.py", 'ScoreMatrix._trusted(observed, y, "probabilities")',
            'ScoreMatrix._trusted(observed, rest.labels[:len(y)], "probabilities")',
            SYNTH_TESTS),
-    # keeps the rows of the block holding the split's first row past it,
-    Mutant("synth.py", "for lo, hi in ((0, at), (at, len(p))) if",
-           "for lo, hi in ((0, at),) if", SYNTH_TESTS),
     # and keys each block by its row in the split, not in the generated rows;
-    Mutant("synth.py", "lo = rows.start - b", "lo = rows.start", SYNTH_TESTS),
-    # the joined calibration rows stop at the split.
-    Mutant("synth.py", "        if rows.stop == b:\n            break\n", "", SYNTH_TESTS),
+    Mutant("synth.py", "lo = rows.start - start", "lo = rows.start", SYNTH_TESTS),
+    # its walk draws and drops the gamma and labels of the rows before the split,
+    Mutant("synth.py", "for rows in _row_blocks(start, k):", "for rows in _row_blocks(0, k):",
+           SYNTH_TESTS),
+    # and their tail keys.
+    Mutant("synth.py", "        key_gen.random((m, keys))\n", "", SYNTH_TESTS),
+    # A synthetic trial generates only its tuning and calibration rows as a
+    # matrix,
+    Mutant("trials.py", "generate(replace(data_spec, n=b))", "generate(data_spec)",
+           SYNTH_TESTS),
+    # and an oracle trial only its calibration rows.
+    Mutant("synth.py", "generate(replace(data_spec, n=n_cal))", "generate(data_spec)",
+           SYNTH_TESTS),
 ]
 
 

@@ -364,7 +364,7 @@ def cmd_experiment(args) -> int:
             raise ValueError("--platt-split tuning only applies to logit inputs")
     else:
         pool = args.n if args.n else args.tune_size + args.cal_size + args.eval_size
-        m = _observed(_synth_spec(args, pool, args.k or 100), pool)[0]  # no truth is kept
+        m = _observed(_synth_spec(args, pool, args.k or 100))  # no truth is kept
 
     protocol = TrialProtocol(
         n_trials=args.trials,

@@ -8,10 +8,11 @@ construction can be estimated to Monte-Carlo accuracy and used as an
 independent check on conformal claims.
 
 Rows are made in blocks of about ``score_store._BLOCK_CELLS`` cells by one
-walk. :func:`generate` joins the truth and observed blocks into two n x K
-matrices; a synthetic trial or oracle trial joins only its tuning and
-calibration rows and reads its evaluation rows straight from the walk, one
-block at a time, so it holds no n x K matrix.
+walk, each stream drawn in row order, so the first b rows of a draw are the
+draw of b rows. :func:`generate` draws the truth and observed matrices; a
+synthetic trial or oracle trial generates only its tuning and calibration
+rows and reads its evaluation rows from a walk that drops the rows before
+them, one block at a time, so it holds no n x K matrix.
 
 Corruptions
 -----------
@@ -80,16 +81,16 @@ def generate(spec: SynthSpec) -> tuple[ScoreMatrix, ScoreMatrix]:
     Dirichlet rows come from normalized gamma variates. Only the statistical
     law is contractual across platforms, but a given numpy build is
     bit-reproducible for a given seed, whatever the row block: each stream is
-    drawn in one whole-matrix draw's order. It joins the blocks of _walk, so
-    memory is the two n x K results plus one block.
+    drawn in one whole-matrix draw's order, so the first b rows of n are the
+    draw of b rows. Memory is the two n x K results, which _walk draws into,
+    plus one block of about ``score_store._BLOCK_CELLS`` cells.
     """
     n, k = spec.n, spec.n_classes
     p, labels = np.empty((n, k)), np.empty(n, dtype=np.int64)
     # Where no value moves, truth and observed share one read-only array.
     observed = np.empty((n, k)) if _moves(spec) else p
-    for rows, truth, obs, y in _walk(spec):
-        p[rows], observed[rows], labels[rows] = truth, obs, y
-        del truth, obs
+    for rows, _, y in _walk(spec, p, observed):
+        labels[rows] = y
     # Both arrays are fresh and valid, so they are wrapped without a copy.
     return (ScoreMatrix._trusted(p, labels, "probabilities"),
             ScoreMatrix._trusted(observed, labels, "probabilities"))
@@ -101,54 +102,61 @@ def _moves(spec: SynthSpec) -> bool:
         spec.corruption == "tail_permute" and spec.corruption_param < spec.n_classes - 1)
 
 
-def _walk(spec: SynthSpec, cut: int = 0):
-    """(rows, truth, observed, labels) of each :func:`_row_blocks` block of
-    spec's rows, fresh arrays, the block holding row ``cut`` split there.
-    Observed is the truth where no value moves. Each stream (gamma, labels,
-    tail keys) is drawn in whole-matrix order, whatever the blocking."""
+def _walk(spec: SynthSpec, truth=None, observed=None, start: int = 0):
+    """(rows, observed, labels) of each :func:`_row_blocks` block of rows
+    [start, n) of spec's draw. A block is drawn into the rows of the n x K
+    arrays truth and observed where given, else into fresh arrays; observed
+    is the truth where no value moves. Each stream (gamma, labels, tail
+    keys) is drawn in whole-matrix order, so the rows before start are
+    drawn and dropped, one block at a time."""
     n, k = spec.n, spec.n_classes
     gen, r_gen = seeds.rng(spec.seed, seeds.SYNTH), seeds.rng(spec.seed, seeds.LABELS)
     key_gen = seeds.rng(spec.seed, seeds.SYNTH, 1)
-    moves = _moves(spec)
-    for rows in _row_blocks(n, k):
-        # The bits of gamma(c / k, 1.0), drawn fresh for the block.
-        p = gen.standard_gamma(spec.concentration / k, size=(rows.stop - rows.start, k))
+    moves, shape = _moves(spec), spec.concentration / k
+    keys = k - int(spec.corruption_param) if moves and spec.corruption == "tail_permute" else 0
+    for rows in _row_blocks(start, k):
+        m = rows.stop - rows.start
+        gen.standard_gamma(shape, size=(m, k))
+        r_gen.random(m)
+        key_gen.random((m, keys))
+    for rows in _row_blocks(n - start, k):
+        rows = slice(start + rows.start, start + rows.stop)
+        p = np.empty((rows.stop - rows.start, k)) if truth is None else truth[rows]
+        obs = p if not moves else np.empty_like(p) if observed is None else observed[rows]
+        gen.standard_gamma(shape, out=p)  # the bits of gamma(c / k, 1.0)
         np.clip(p, 1e-290, None, out=p)  # keep every class mass strictly positive
         p /= p.sum(axis=1, keepdims=True)
         below = np.cumsum(p, axis=1) < r_gen.random(len(p))[:, None]
         labels = np.minimum(below.sum(axis=1), k - 1)
-        observed = p
         if moves:
-            observed = np.empty_like(p)
-            _corrupt(p, spec, key_gen, observed)
-        at = cut - rows.start
-        for lo, hi in ((0, at), (at, len(p))) if 0 < at < len(p) else ((0, len(p)),):
-            yield (slice(rows.start + lo, rows.start + hi), p[lo:hi], observed[lo:hi],
-                   labels[lo:hi])
-        del p, observed  # the consumer's last block is freed before the next is drawn
+            _corrupt(p, spec, key_gen, obs)
+        yield rows, obs, labels
+        del p, obs  # the consumer's last block is freed before the next is drawn
 
 
-def _observed(spec: SynthSpec, b: int) -> tuple[ScoreMatrix | None, SimpleNamespace]:
-    """The observed rows [0, b) joined (None for b = 0), and rows [b, n) read
-    on from the walk as a ScoreBlocks is: ``n``, ``labels`` and ``blocks()``,
-    each block at its row in the split. A block's labels are set as it is
+def _stream(spec: SynthSpec, start: int) -> SimpleNamespace:
+    """Observed rows [start, n) of spec's draw, read as a ScoreBlocks is:
+    ``n``, ``labels`` and ``blocks()``, each block at its row from start.
+    Every blocks() call walks anew. A block's labels are set as it is
     yielded; until then they read -1, so a read ahead is a DataError."""
-    walk, k = _walk(spec, b), spec.n_classes
-    scores, labels = np.empty((b, k)), np.empty(b, dtype=np.int64)
-    for rows, _, observed, y in walk if b else ():
-        scores[rows], labels[rows] = observed, y
-        if rows.stop == b:
-            break
-    rest = SimpleNamespace(n=spec.n - b, labels=np.full(spec.n - b, -1, dtype=np.int64))
+    rest = SimpleNamespace(n=spec.n - start, labels=np.full(spec.n - start, -1, dtype=np.int64))
 
     def blocks():
-        for rows, _, observed, y in walk:
-            lo = rows.start - b
+        for rows, observed, y in _walk(spec, start=start):
+            lo = rows.start - start
             rest.labels[lo:lo + len(y)] = y
             yield lo, ScoreMatrix._trusted(observed, y, "probabilities")
 
     rest.blocks = blocks
-    return ScoreMatrix._trusted(scores, labels, "probabilities") if b else None, rest
+    return rest
+
+
+def _observed(spec: SynthSpec) -> ScoreMatrix:
+    """spec's observed scores alone: one n x K array, no truth kept."""
+    scores, labels = np.empty((spec.n, spec.n_classes)), np.empty(spec.n, dtype=np.int64)
+    for rows, _, y in _walk(spec, None if _moves(spec) else scores, scores):
+        labels[rows] = y
+    return ScoreMatrix._trusted(scores, labels, "probabilities")
 
 
 def _corrupt(p: np.ndarray, spec: SynthSpec, key_gen: np.random.Generator,
@@ -217,10 +225,12 @@ def _oracle_trial(
 ) -> float:
     """Coverage of one oracle_coverage trial; its data is released on return."""
     data_spec = replace(spec, n=n_cal + n_eval, seed=seeds.child_seed(trial_seed, seeds.SYNTH))
-    cal, ev = _observed(data_spec, 0 if mspec.method == "naive" else n_cal)
     if mspec.method == "naive":
         model = naive_model(mspec.alpha, spec.n_classes, mspec.randomized)
+        ev = _stream(data_spec, 0)
     else:
+        cal = generate(replace(data_spec, n=n_cal))[1]  # the first n_cal rows of the draw
+        ev = _stream(data_spec, n_cal)
         ss_cal = sort_scores(cal, seeds.child_seed(trial_seed, seeds.SORT, 0))
         model = calibrate(ss_cal, cal.labels, mspec, seed=trial_seed)
     u = seeds.rng(trial_seed, seeds.EVAL_U).random(ev.n) if mspec.randomized else None

@@ -30,7 +30,7 @@ from .conformal import MethodSpec
 from .metrics import DifficultyRow, EvalReport, StratumRow, _validate_strata, evaluate_models
 from .platt import fit_temperature
 from .score_store import ScoreMatrix, SortedScores, SplitSpec, softmax, sort_scores, split
-from .synth import SynthSpec, _observed
+from .synth import SynthSpec, _stream, generate
 from .tuning import TUNE_OBJECTIVES, fit_model, tune
 
 PLATT_SPLITS = ("calibration", "tuning")
@@ -251,8 +251,8 @@ def run_synth_trials(
         data_spec = replace(
             sspec, n=n_total, seed=seeds.child_seed(trial_seed, seeds.SYNTH)
         )
-        head, eval_rows = _observed(data_spec, b)
+        head = generate(replace(data_spec, n=b))[1]  # the first b rows of the draw
         tune_m = head.take(slice(a)) if a > 0 else None
-        return tune_m, head.take(slice(a, b)), eval_rows
+        return tune_m, head.take(slice(a, b)), _stream(data_spec, b)
 
     return _run_trials(draw, protocol, policies)

@@ -156,7 +156,7 @@ def test_oracle_coverage_refuses_an_empty_estimate_before_any_data(monkeypatch, 
     def no_data(*_):
         raise AssertionError("data generated before the sizes were checked")
 
-    monkeypatch.setattr("cset.synth._observed", no_data)
+    monkeypatch.setattr("cset.synth.generate", no_data)
     with pytest.raises(ValueError, match="n_eval" if n_eval == 0 else "n_trials"):
         oracle_coverage(SynthSpec(n=10, n_classes=5), MethodSpec("aps", 0.1),
                         n_cal=10, n_eval=n_eval, n_trials=n_trials)

@@ -1,8 +1,9 @@
-"""Synthetic and oracle trials read their evaluation rows from the
-generator's block walk and join only their tuning and calibration rows. They
-give the bits of the draw that generated the whole observed matrix and split
-it by row slices, for every split boundary and row block size, and their
-memory is bounded by the calibration rows and a block, not by n."""
+"""Synthetic and oracle trials generate only their tuning and calibration
+rows as a matrix and read their evaluation rows from the generator's block
+walk. They give the bits of the draw that generated the whole observed
+matrix and split it by row slices, for every split boundary and row block
+size, and their memory is bounded by the calibration rows and a block, not
+by n."""
 
 import tracemalloc
 from dataclasses import replace
@@ -134,16 +135,15 @@ def test_oracle_trials_match_the_whole_matrix_draw(monkeypatch, block_rows, n_ca
 
 
 @pytest.mark.parametrize("block_rows, b", [(3, 0), (3, 4), (3, 6), (3, 25), (1, 0), (1, 7)])
-def test_the_stream_gives_the_rows_after_the_joined_ones(monkeypatch, block_rows, b):
+def test_the_head_and_the_stream_are_the_rows_of_the_whole_draw(monkeypatch, block_rows, b):
     _block_rows(monkeypatch, block_rows)
     spec = SynthSpec(n=25, n_classes=K, corruption="tail_permute", corruption_param=1, seed=b)
     want = generate(spec)[1]
-    head, rest = synth._observed(spec, b)
     if b:
+        head = generate(replace(spec, n=b))[1]
         assert head.scores.tobytes() == want.scores[:b].tobytes()
         assert head.labels.tobytes() == want.labels[:b].tobytes()
-    else:
-        assert head is None
+    rest = synth._stream(spec, b)
     assert rest.n == 25 - b
     seen = []
     for lo, block in rest.blocks():
@@ -154,11 +154,27 @@ def test_the_stream_gives_the_rows_after_the_joined_ones(monkeypatch, block_rows
     assert [lo for lo, _ in seen] == list(np.cumsum([0] + [n for _, n in seen])[:-1])
     assert sum(n for _, n in seen) == 25 - b
     assert rest.labels.tobytes() == want.labels[b:].tobytes()
+    # A second walk, as ScoreMatrix.blocks() gives, yields the same blocks.
+    again = [(lo, block.scores.tobytes(), block.labels.tobytes()) for lo, block in rest.blocks()]
+    assert [lo for lo, *_ in again] == [lo for lo, _ in seen]
+    assert b"".join(s for _, s, _ in again) == want.scores[b:].tobytes()
+    assert b"".join(y for *_, y in again) == want.labels[b:].tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+def test_the_observed_matrix_alone_is_generates_observed(monkeypatch, block_rows):
+    _block_rows(monkeypatch, block_rows)
+    for spec in SPECS + (SynthSpec(n=1, n_classes=K, corruption="tail_permute",
+                                   corruption_param=K - 1),):
+        spec = replace(spec, n=26, seed=block_rows)
+        got, want = synth._observed(spec), generate(spec)[1]
+        assert got.scores.tobytes() == want.scores.tobytes(), spec
+        assert got.labels.tobytes() == want.labels.tobytes(), spec
 
 
 def test_reading_the_stream_labels_before_its_blocks_is_a_data_error():
     spec = SynthSpec(n=50, n_classes=K, seed=4)
-    _, rest = synth._observed(spec, 20)
+    rest = synth._stream(spec, 20)
     ss = sort_scores(generate(spec)[1].take(slice(20, None)))
     with pytest.raises(DataError, match="label out of range"):
         evaluate_models([naive_model(0.2, K, True)], ss, rest.labels)

@@ -150,7 +150,7 @@ def test_synth_trials_refuse_an_empty_split_before_any_data(monkeypatch, cal_siz
     def no_data(*_):
         raise AssertionError("data generated before the split sizes were checked")
 
-    monkeypatch.setattr("cset.trials._observed", no_data)
+    monkeypatch.setattr("cset.trials.generate", no_data)
     sspec = cset.SynthSpec(n=1, n_classes=10, seed=0)
     proto = TrialProtocol(n_trials=2, cal_size=cal_size, eval_size=eval_size, seed=1)
     with pytest.raises(ValueError, match="calibration and evaluation splits must be nonempty"):
