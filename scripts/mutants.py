@@ -44,6 +44,8 @@ SORT_TESTS = ("tests/test_score_store.py", "tests/test_partial_sort.py",
               "tests/test_tie_order_on_demand.py")
 PLATT_TESTS = ("tests/test_platt.py",)
 SYNTH_TESTS = ("tests/test_synth_stream.py",)
+CONFORMAL_TESTS = ("tests/test_conformal.py",)
+EVAL_TESTS = ("tests/test_eval_blocks.py",)
 
 MUTANTS = [
     # _tie_keys: each row's keys start at draw row * K of the stream ...
@@ -66,8 +68,8 @@ MUTANTS = [
     # partitions at the first of the w largest values,
     Mutant("score_store.py", "np.partition(p, k - w, axis=1)",
            "np.partition(p, k - w + 1, axis=1)", SORT_TESTS),
-    # and gathers a block holding a -0.0 through the tie order.
-    Mutant("score_store.py", "if np.signbit(p).any():", "if False:", SORT_TESTS),
+    # and a checked probability matrix holds 0.0 where its input held -0.0.
+    Mutant("score_store.py", "        scores[signed] = 0.0\n", "", SORT_TESTS),
     # fit_temperature settles a comparison from a known slope only beyond its
     # rounding margin,
     Mutant("platt.py", "math.isfinite(margin) and margin > err(c) + err(d) and (", "(",
@@ -98,9 +100,28 @@ MUTANTS = [
     # matrix,
     Mutant("trials.py", "generate(replace(data_spec, n=b))", "generate(data_spec)",
            SYNTH_TESTS),
-    # and an oracle trial only its calibration rows.
+    # and an oracle trial only its calibration rows, which it frees with
+    # their sort before its evaluation walk,
     Mutant("synth.py", "generate(replace(data_spec, n=n_cal))", "generate(data_spec)",
            SYNTH_TESTS),
+    Mutant("synth.py", "del cal, ss_cal", "pass", SYNTH_TESTS),
+    # as a trial frees its sorted tuning split.
+    Mutant("trials.py", "del ss_tune", "pass", SYNTH_TESTS),
+    # A set keeps a class whose score equals the threshold,
+    Mutant("conformal.py", "np.less_equal(scores, model.tau_hat,", "np.less(scores, model.tau_hat,",
+           CONFORMAL_TESTS),
+    # and the raps penalty starts past rank kreg, not one rank early.
+    Mutant("conformal.py", "np.arange(1, k + 1) - spec.kreg", "np.arange(k) - spec.kreg",
+           CONFORMAL_TESTS),
+    # Each evaluation block takes its rows' u, not the first rows' u,
+    Mutant("metrics.py", "u[lo:hi]", "u[:hi - lo]", EVAL_TESTS),
+    # and is freed before the next block is sorted.
+    Mutant("metrics.py", "del block", "pass", EVAL_TESTS),
+    # A trial fits with its own seed, so trials draw independent calibration u,
+    Mutant("trials.py", "fit_model(cal, cal.labels, spec, trial_seed)",
+           "fit_model(cal, cal.labels, spec, 0)", ("tests/test_trials.py",)),
+    # and the tuners measure the nested evaluation half with that half's label ranks.
+    Mutant("tuning.py", "ranks[ev_idx]", "ranks[cal_idx]", ("tests/test_tuning.py",)),
 ]
 
 

@@ -19,7 +19,7 @@ boundary-inclusive) and fixed_k whose sets reach far fewer ranks than K,
 so `predict` sorts only those ranks, on the logit file and on the
 tie-heavy one. Last of all, `calibrate` (raps, reaching fewer ranks than
 K), `predict`, `evaluate` and `tune` on the tie-heavy rows with about half
-their zero cells stored as -0.0, which are sorted through the tie order,
+their zero cells stored as -0.0, which every read turns into 0.0,
 and `fit-temp` on a narrow bracket, on one above T = 1 and to float
 resolution.
 To check that a change keeps every output byte, run it against each
@@ -153,7 +153,7 @@ def flows():
            "--seed", "23", "--out", "zr_ties_raps"]
     yield ["predict", "--model", "zr_ties_raps/model.txt", "--input", "ties.bin", "--seed", "24",
            "--out", "zr_pred_ties_raps"]
-    # A row block holding a -0.0 is sorted through the seeded tie order.
+    # A file holding -0.0 cells gives the outputs of its rows with 0.0 there.
     signed = ["--input", "signed.bin"]
     yield ["calibrate", *signed, "--method", "raps", "--lambda", "0.2", "--seed", "25",
            "--out", "zs_signed_raps"]
@@ -178,7 +178,7 @@ def write_inputs() -> None:
     rows (stored as float32, about an eighth of its cells are exact zeros),
     a 4000 x 50 logit file whose labels follow the logits, and last the
     tie-heavy file's rows again with about half their zero cells stored
-    as -0.0."""
+    as -0.0, written unchecked, since a checked matrix holds no -0.0."""
     g = np.random.default_rng(0)
     z = 2.0 * g.normal(size=(2000, 20))
     labels = np.argmax(z + g.gumbel(size=z.shape), axis=1)
@@ -198,7 +198,8 @@ def write_inputs() -> None:
     ties = cset.load_scores("ties.bin")
     x = ties.scores.copy()
     x[(x == 0) & (g.random(x.shape) < 0.5)] = -0.0
-    cset.save_scores(cset.ScoreMatrix(x, ties.labels, "probabilities"), "signed.bin", "binary")
+    signed = cset.ScoreMatrix._trusted(x, ties.labels, "probabilities")
+    cset.save_scores(signed, "signed.bin", "binary")
 
 
 def run(argv) -> None:

@@ -175,8 +175,8 @@ def _score_base(srt: np.ndarray, cumsum: np.ndarray, method: str, u, out: np.nda
     score u * (mass at the rank) + (mass strictly above it), the latter
     being the exact prefix sum one rank back and nothing at rank 1. u is a
     scalar or one value per row as a column. Float addition commutes, so
-    this equals rho + u * s bit for bit; at rank 1 only the sign of a zero
-    can differ from 0.0 + u * s, which no comparison with a threshold sees.
+    this equals rho + u * s bit for bit, at rank 1 too: rho is 0.0 there,
+    and u * s is never -0.0 (u >= 0, and _valid_scores clears each -0.0).
     """
     if method == "lac":
         return np.subtract(1.0, srt, out=out)

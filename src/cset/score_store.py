@@ -54,7 +54,7 @@ class ScoreMatrix:
 
     def __post_init__(self) -> None:
         _check(self.kind in KINDS, f"unknown kind {self.kind!r}")
-        scores = np.array(self.scores, dtype=np.float64)
+        scores = np.asarray(self.scores)  # _valid_scores copies it to float64
         labels = np.array(self.labels)
         _check(scores.ndim == 2, "scores must be a 2-D array")
         n, k = scores.shape
@@ -123,19 +123,22 @@ def _check_labels(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _valid_scores(scores: np.ndarray, kind: str, first_row: int = 0) -> np.ndarray:
-    """The scores as float64, checked: finite, and for probabilities
-    nonnegative with rows that sum to 1 (renormalized, in a copy, within
-    the band). Errors name rows counted from first_row.
+    """The scores as a float64 copy, checked: finite, and for probabilities
+    nonnegative with rows that sum to 1 (renormalized within the band) and
+    each -0.0 made 0.0, so equal values have equal bits. Errors name rows
+    counted from first_row.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.array(scores, dtype=np.float64)  # the caller's array is never written
     bad = ~np.isfinite(scores)
     if bad.any():
         row = int(np.argwhere(bad)[0, 0])
         raise DataError(f"non-finite score in row {first_row + row}")
     if kind == "probabilities":
-        if (scores < 0).any():
+        signed = np.signbit(scores)  # the negative cells and each -0.0
+        if (scores[signed] < 0).any():
             row = int(np.argwhere(scores < 0)[0, 0])
             raise DataError(f"negative probability in row {first_row + row}")
+        scores[signed] = 0.0
         sums = scores.sum(axis=1)
         dev = np.abs(sums - 1.0)
         if (dev > _ROW_SUM_FIX).any():
@@ -146,7 +149,6 @@ def _valid_scores(scores: np.ndarray, kind: str, first_row: int = 0) -> np.ndarr
             )
         fix = dev > _ROW_SUM_OK
         if fix.any():
-            scores = scores.copy()
             scores[fix] /= sums[fix, None]
     return scores
 
@@ -172,8 +174,6 @@ class SortedScores:
     _probs: np.ndarray | None = field(default=None, repr=False)
     _seed: int = 0
     _rows: np.ndarray | None = field(default=None, repr=False)
-    # (copy of the last labels ranked, their ranks); see label_ranks.
-    _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self._probs is None:  # perm is given: unsort the sorted cells
@@ -207,22 +207,17 @@ class SortedScores:
     def label_ranks(self, labels: np.ndarray) -> np.ndarray:
         """1-based rank of each row's label in that row's sorted order.
 
-        The result is read-only and memoized for the last labels ranked,
-        compared by value against a private copy, so calibration, tuning
-        and measurement on one split rank the labels once. A rank counts the
-        larger cells of the row, one row block at a time, so the extra
-        memory is one block, not n x K; only a label that ties another cell
-        is found in its row of ``perm``. A label outside [0, K), or not a
-        whole number, is a DataError.
+        The result is read-only. Each call ranks anew: a caller that reads
+        the ranks of one split more than once keeps its :meth:`label_cells`
+        as a _LabelCells. A rank counts the larger cells of the row, one row
+        block at a time, so the extra memory is one block, not n x K; only a
+        label that ties another cell is found in its row of ``perm``. A
+        label outside [0, K), or not a whole number, is a DataError.
         """
         n, w = self.sorted.shape
         k = self.n_classes
         labels = np.asarray(labels)
         _check(labels.shape == (n,), "labels must be one integer per row")
-        if self._ranked is not None:
-            seen, ranks = self._ranked
-            if seen.dtype == labels.dtype and np.array_equal(seen, labels):
-                return ranks
         labels = _check_labels(labels, k)
         at = np.arange(n)
         p_y = self._probs[at, labels]
@@ -239,7 +234,6 @@ class SortedScores:
             ranks[tied] = np.argmax(self.take(tied).perm == labels[tied, None], axis=1)
         ranks += 1
         ranks.setflags(write=False)
-        object.__setattr__(self, "_ranked", (labels.copy(), ranks))
         return ranks
 
     def label_cells(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,9 +273,9 @@ class SortedScores:
 
 @dataclass(frozen=True, eq=False)
 class _LabelCells:
-    """The :meth:`SortedScores.label_cells` of some labels, gathered without
-    keeping the sorted rows. It stands in for their SortedScores wherever
-    only the labels' cells are read: tuning.fit_model and what it calls."""
+    """The :meth:`SortedScores.label_cells` of some labels, ranked once and
+    kept without the sorted rows. Every fit of a split reads them in place of
+    its SortedScores: tuning.fit_model and what it calls, and the tuners."""
 
     labels: np.ndarray
     ranks: np.ndarray
@@ -339,9 +333,9 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0, *,
     matrix, so seeded results match earlier releases.
 
     Only the values are sorted, in the row blocks of :func:`_row_blocks`.
-    Equal values have equal bits, save -0.0 and 0.0, so ties show in neither
-    ``sorted`` nor ``cumsum``; a block with a -0.0 is gathered through the
-    tie order. The result keeps the probabilities to build ``perm`` from.
+    Equal values have equal bits (a checked probability matrix holds no
+    -0.0; see :func:`_valid_scores`), so ties show in neither ``sorted`` nor
+    ``cumsum``. The result keeps the probabilities to build ``perm`` from.
     ``_width`` (private; default K) keeps only the first columns of
     ``sorted`` and ``cumsum``: below K, np.partition finds each row's top
     ``_width`` values and only those are sorted, so both hold the full
@@ -359,9 +353,7 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0, *,
     cumsum = np.empty((n, w))
     for block in _row_blocks(n, k):
         p = m.scores[block]
-        if np.signbit(p).any():
-            srt[block] = np.take_along_axis(p, _tie_ordered(p, seed, rows[block])[:, :w], 1)
-        elif w < k:
+        if w < k:
             srt[block] = np.sort(np.partition(p, k - w, axis=1)[:, k - w:], axis=1)[:, ::-1]
         else:
             srt[block] = np.sort(p, axis=1)[:, ::-1]

@@ -223,16 +223,17 @@ def oracle_coverage(
 def _oracle_trial(
     spec: SynthSpec, mspec: MethodSpec, n_cal: int, n_eval: int, trial_seed: int
 ) -> float:
-    """Coverage of one oracle_coverage trial; its data is released on return."""
+    """Coverage of one oracle_coverage trial; its calibration rows go before its walk."""
     data_spec = replace(spec, n=n_cal + n_eval, seed=seeds.child_seed(trial_seed, seeds.SYNTH))
     if mspec.method == "naive":
         model = naive_model(mspec.alpha, spec.n_classes, mspec.randomized)
         ev = _stream(data_spec, 0)
     else:
         cal = generate(replace(data_spec, n=n_cal))[1]  # the first n_cal rows of the draw
-        ev = _stream(data_spec, n_cal)
         ss_cal = sort_scores(cal, seeds.child_seed(trial_seed, seeds.SORT, 0))
         model = calibrate(ss_cal, cal.labels, mspec, seed=trial_seed)
+        del cal, ss_cal  # freed before the evaluation walk
+        ev = _stream(data_spec, n_cal)
     u = seeds.rng(trial_seed, seeds.EVAL_U).random(ev.n) if mspec.randomized else None
     covered = 0
     for lo, block in ev.blocks():

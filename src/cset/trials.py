@@ -29,7 +29,7 @@ from . import seeds
 from .conformal import MethodSpec
 from .metrics import DifficultyRow, EvalReport, StratumRow, _validate_strata, evaluate_models
 from .platt import fit_temperature
-from .score_store import ScoreMatrix, SortedScores, SplitSpec, softmax, sort_scores, split
+from .score_store import ScoreMatrix, SortedScores, SplitSpec, _LabelCells, softmax, sort_scores, split
 from .synth import SynthSpec, _stream, generate
 from .tuning import TUNE_OBJECTIVES, fit_model, tune
 
@@ -151,12 +151,12 @@ def _run_trial(
     """Draw one trial's splits, fit every policy, and measure every model.
 
     In the protocol's order: fit the temperature on the platt_split split
-    and softmax, sort the calibration split (and the tuning split if some
-    policy tunes), tune and fit each policy on the calibration split, and
-    measure every model in one evaluate_models call (past the first n_full,
+    and softmax, sort the tuning split if some policy tunes, rank the
+    calibration labels once into a _LabelCells from their split's sort
+    (dropped at once), tune and fit each policy on those, drop the tuning
+    sort, and measure every model in one evaluate_models call (past n_full,
     by mean size only), which softmaxes and sorts the evaluation split one
-    row block at a time. Everything is released on return, before the next
-    trial draws its data.
+    row block at a time. All is released before the next trial's draw.
     """
     tune_m, cal_m, eval_m = draw(trial_seed)
     tunes = any(policy.tune_objective is not None for policy in policies.values())
@@ -176,8 +176,8 @@ def _run_trial(
         return sort_scores(m, seeds.child_seed(trial_seed, seeds.SORT, part), first_row=lo)
 
     ss_tune, y_tune = (sort_rows(tune_m, 0), tune_m.labels) if tunes else (None, None)
-    ss_cal, y_cal = sort_rows(cal_m, 1), cal_m.labels
-    del tune_m, cal_m  # free the matrices; the fits need only the sorted splits
+    cal = _LabelCells(cal_m.labels, *sort_rows(cal_m, 1).label_cells(cal_m.labels), cal_m.n_classes)
+    del tune_m, cal_m  # free the matrices; the fits need only ss_tune and cal
 
     models = []
     for policy in policies.values():
@@ -186,7 +186,8 @@ def _run_trial(
             res = tune(ss_tune, y_tune, spec.alpha, policy.tune_objective, policy.lambda_grid,
                        seeds.child_seed(trial_seed, seeds.TUNE), protocol.strata)
             spec = replace(spec, penalty=res.penalty, kreg=res.kreg)
-        models.append(fit_model(ss_cal, y_cal, spec, trial_seed))
+        models.append(fit_model(cal, cal.labels, spec, trial_seed))
+    del ss_tune  # freed before the evaluation walk
     blocks = (sort_rows(block, 2, lo) for lo, block in eval_m.blocks())
     reports = evaluate_models(models, blocks, eval_m.labels, trial_seed, protocol.strata, n_full)
     return {name: (report, model.spec) for name, model, report in zip(policies, models, reports)}

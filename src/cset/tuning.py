@@ -22,7 +22,7 @@ from .conformal import (
     set_sizes,
 )
 from .metrics import default_strata, sscv_from_arrays
-from .score_store import DataError, SortedScores
+from .score_store import DataError, SortedScores, _LabelCells
 
 SIZE_LAMBDA_GRID = (0.001, 0.01, 0.1, 0.2, 0.5)
 ADAPT_LAMBDA_GRID = (0.00001, 0.0001, 0.0008, 0.001, 0.0015, 0.002)
@@ -93,29 +93,32 @@ def _tune(
     objective: str,
     strata,
 ) -> TuneResult:
+    """Both tuners. The labels are ranked once, for k_star and both halves;
+    each grid point fits on cal's cells and sizes ss_ev's sorted rows."""
     if ss.n < MIN_TUNE_ROWS:
         raise DataError(f"tuning split too small to split again ({ss.n} rows, need {MIN_TUNE_ROWS})")
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("empty penalty grid")
     labels = np.asarray(labels)
-    k_star = fixed_k_star(ss, labels, alpha)
+    ranks, s, rho = ss.label_cells(labels)  # every label ranked once
+    k_star = fixed_k_star(_LabelCells(labels, ranks, s, rho, ss.n_classes), labels, alpha)
     cal_idx, ev_idx = _nested_halves(ss.n, seed)
-    ss_cal, y_cal = ss.take(cal_idx), labels[cal_idx]
-    ss_ev, y_ev = ss.take(ev_idx), labels[ev_idx]
+    cal = _LabelCells(labels[cal_idx], ranks[cal_idx], s[cal_idx], rho[cal_idx], ss.n_classes)
+    ss_ev, ranks_ev = ss.take(ev_idx), ranks[ev_idx]  # ss_ev only for sizing
     if strata is None:
         strata = default_strata(ss.n_classes)
 
     values = []
     for j, pen in enumerate(grid):
         spec = MethodSpec("raps", alpha, penalty=pen, kreg=k_star, randomized=True)
-        model = calibrate(ss_cal, y_cal, spec, seed=seeds.child_seed(seed, seeds.TUNE_GRID, j))
+        model = calibrate(cal, cal.labels, spec, seed=seeds.child_seed(seed, seeds.TUNE_GRID, j))
         u = seeds.rng(seed, seeds.TUNE_GRID, j, seeds.EVAL_U).random(ss_ev.n)
         sizes = set_sizes(model, ss_ev, u)
         if objective == "size":
             values.append(float(np.mean(sizes)))
         else:
-            covered = ss_ev.label_ranks(y_ev) <= sizes
+            covered = ranks_ev <= sizes
             values.append(sscv_from_arrays(sizes, covered, strata, alpha))
 
     if objective == "size":

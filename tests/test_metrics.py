@@ -104,6 +104,8 @@ def test_sscv_from_sets_wrapper():
 def test_default_strata_clip_to_k():
     assert default_strata(100) == ((0, 1), (2, 3), (4, 10), (11, 100))
     assert default_strata(1000) == ((0, 1), (2, 3), (4, 10), (11, 100), (101, 1000))
+    # past K = 1000 the last stratum stretches to K, so no size falls outside
+    assert default_strata(1500) == ((0, 1), (2, 3), (4, 10), (11, 100), (101, 1500))
     assert default_strata(10) == ((0, 1), (2, 3), (4, 10))
     assert default_strata(5) == ((0, 1), (2, 3), (4, 5))
     assert default_strata(3) == ((0, 1), (2, 3))
@@ -113,6 +115,9 @@ def test_default_difficulty_bins_clip():
     assert default_difficulty_bins(10) == ((1, 1), (2, 3), (4, 6), (7, 10))
     assert default_difficulty_bins(100) == (
         (1, 1), (2, 3), (4, 6), (7, 10), (11, 100)
+    )
+    assert default_difficulty_bins(1500) == (
+        (1, 1), (2, 3), (4, 6), (7, 10), (11, 100), (101, 1500)
     )
 
 

@@ -126,7 +126,7 @@ def test_label_ranks_memo_returns_the_same_ranks_for_equal_labels():
     ss = cset.sort_scores(m, seed=1)
     first = ss.label_ranks(m.labels)
     again = ss.label_ranks(m.labels.copy())
-    assert again is first
+    np.testing.assert_array_equal(again, first)
     np.testing.assert_array_equal(first, _fresh_ranks(ss, m.labels))
 
 
@@ -425,6 +425,25 @@ def test_sort_matches_reference_on_signed_zero_runs():
     scores = np.array([[0.0, 0.5, -0.0, 0.5, 0.0, -0.0]] * 5)
     m = ScoreMatrix(scores, np.zeros(5, dtype=int), "probabilities")
     _assert_matches_reference(m, seed=2)
+
+
+def test_a_probability_minus_zero_reads_back_as_zero(tmp_path):
+    # Every checked probability matrix holds 0.0 where its input held -0.0,
+    # so equal values have equal bits; the caller's array and logits keep theirs.
+    x = np.array([[0.5, 0.5, -0.0], [1.0, -0.0, 0.0]])
+    labels = np.array([0, 1])
+    assert not np.signbit(ScoreMatrix(x, labels, "probabilities").scores).any()
+    assert np.signbit(x).sum() == 2
+    assert np.signbit(ScoreMatrix(x, labels, "logits").scores).sum() == 2
+    stored = ScoreMatrix._trusted(x, labels, "probabilities")  # written unchecked
+    for name, fmt in (("p.bin", "binary"), ("p.csv", "csv")):
+        path = str(tmp_path / name)
+        cset.save_scores(stored, path, fmt)
+        loaded = cset.load_scores(path)
+        assert not np.signbit(loaded.scores).any(), fmt
+        np.testing.assert_array_equal(loaded.scores, x)
+        blocks = [block.scores for _, block in score_store.open_scores(path).blocks()]
+        assert not np.signbit(np.concatenate(blocks)).any(), fmt
 
 
 def test_order_ties_breaks_equal_keys_by_class_index(monkeypatch):

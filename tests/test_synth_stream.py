@@ -209,3 +209,27 @@ def test_a_trial_holds_its_calibration_rows_and_a_block_not_its_evaluation_rows(
     for kind in ("trial", "oracle"):
         assert peaks[kind, 40_000] < 1.5 * peaks[kind, 10_000], \
             {key: round(peak / 1e6, 1) for key, peak in peaks.items()}
+
+
+def test_the_calibration_rows_and_their_sort_are_freed_before_the_evaluation_walk():
+    # At 1,000 calibration rows of K = 100 the rows take 0.8 MB, and their
+    # sort (sorted and cumsum) 1.6 MB more. Kept through the walk, beside
+    # its blocks, they put one oracle trial at 6.9 MB, one synthetic trial
+    # at 7.4 MB, and one with 1,000 tuning rows and a tuned raps at 9.9 MB;
+    # freed first, these peak at 4.5, 5.0 and 5.9 MB.
+    sspec = SynthSpec(n=1, n_classes=100, corruption="tail_permute", corruption_param=5)
+    raps = MethodSpec("raps", 0.1, penalty=0.01, kreg=5)
+    policies = {"raps": MethodPolicy(raps), "aps": MethodPolicy(MethodSpec("aps", 0.1)),
+                "lac": MethodPolicy(MethodSpec("lac", 0.1)),
+                "naive": MethodPolicy(MethodSpec("naive", 0.1))}
+    tuned = {**policies, "raps_tuned": MethodPolicy(raps, tune_objective="size")}
+    plain = TrialProtocol(n_trials=1, cal_size=1000, eval_size=10_000, seed=2)
+    tuning = TrialProtocol(n_trials=1, cal_size=1000, eval_size=10_000, tune_size=1000, seed=2)
+    peaks = {
+        "oracle": _traced_peak(lambda: oracle_coverage(sspec, raps, 1000, 10_000, 1, seed=3)),
+        "trial": _traced_peak(lambda: run_synth_trials(sspec, plain, policies)),
+        "tuned trial": _traced_peak(lambda: run_synth_trials(sspec, tuning, tuned)),
+    }
+    bounds = {"oracle": 5.5e6, "trial": 6e6, "tuned trial": 7.5e6}
+    for key, peak in peaks.items():
+        assert peak < bounds[key], f"{key}: traced peak {peak / 1e6:.1f} MB"

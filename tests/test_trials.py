@@ -54,6 +54,31 @@ def test_single_trial_matches_batch_element():
     assert one.avg_size[0] == many.avg_size[0]
 
 
+def test_each_trial_is_its_own_seeds_split_sorts_fit_and_evaluation():
+    # Trial t of run_trials_multi, rebuilt from public pieces: every step
+    # takes trial t's seed, the calibration u of the fit included, so trials
+    # draw independent calibration u.
+    from cset import seeds
+    from cset.metrics import evaluate_model
+    from cset.score_store import SplitSpec, sort_scores, split
+    from cset.tuning import fit_model
+
+    m = dirichlet_matrix(500, 8, seed=13, concentration=0.8)
+    specs = {"aps": MethodSpec("aps", 0.2), "raps": MethodSpec("raps", 0.2, penalty=0.05, kreg=2)}
+    protocol = small_protocol(cal_size=150, eval_size=200)
+    aggs = run_trials_multi(m, protocol, {name: MethodPolicy(s) for name, s in specs.items()})
+    for t in range(protocol.n_trials):
+        trial_seed = seeds.child_seed(protocol.seed, seeds.TRIAL, t)
+        _, cal_m, eval_m = split(m, SplitSpec(trial_seed, (0, 150, 200)))
+        ss_cal = sort_scores(cal_m, seeds.child_seed(trial_seed, seeds.SORT, 1))
+        ss_ev = sort_scores(eval_m, seeds.child_seed(trial_seed, seeds.SORT, 2))
+        for name, spec in specs.items():
+            model = fit_model(ss_cal, cal_m.labels, spec, trial_seed)
+            report = evaluate_model(model, ss_ev, eval_m.labels, seed=trial_seed)
+            assert aggs[name].coverage[t].tobytes() == np.float64(report.coverage).tobytes()
+            assert aggs[name].avg_size[t].tobytes() == np.float64(report.avg_size).tobytes()
+
+
 def test_median_of_means_aggregation():
     m = dirichlet_matrix(300, 8, seed=3, concentration=0.8)
     pol = MethodPolicy(MethodSpec("aps", 0.2))

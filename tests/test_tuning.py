@@ -183,6 +183,33 @@ def test_tune_passes_strata_to_the_adaptiveness_tuner_only():
         ss, m.labels, 0.1, SIZE_LAMBDA_GRID, 5)
 
 
+@pytest.mark.parametrize("objective", ["size", "adaptiveness"])
+def test_each_grid_value_is_measured_on_the_nested_halves(objective):
+    # Grid point j calibrates raps at k_star on the first nested half and
+    # sizes the second, whose own label ranks give its coverage.
+    from cset import seeds
+    from cset.conformal import calibrate
+    from cset.metrics import default_strata, sscv_from_arrays
+    from cset.tuning import _nested_halves, tune
+
+    spec = cset.SynthSpec(n=600, n_classes=20, corruption="tail_permute", corruption_param=3,
+                          seed=7)
+    m = cset.generate(spec)[1]
+    ss = sort_scores(m, seed=4)
+    res = tune(ss, m.labels, 0.1, objective, (0.0, 0.001, 0.01, 0.1), seed=9)
+    k_star = fixed_k_star(ss, m.labels, 0.1)
+    cal_idx, ev_idx = _nested_halves(m.n, 9)
+    ss_cal, ss_ev = ss.take(cal_idx), ss.take(ev_idx)
+    ranks_ev = ss_ev.label_ranks(m.labels[ev_idx])
+    for j, (penalty, value) in enumerate(res.grid):
+        raps = MethodSpec("raps", 0.1, penalty=penalty, kreg=k_star)
+        model = calibrate(ss_cal, m.labels[cal_idx], raps, seeds.child_seed(9, seeds.TUNE_GRID, j))
+        sizes = set_sizes(model, ss_ev, seeds.rng(9, seeds.TUNE_GRID, j, seeds.EVAL_U).random(300))
+        want = (float(np.mean(sizes)) if objective == "size"
+                else sscv_from_arrays(sizes, ranks_ev <= sizes, default_strata(20), 0.1))
+        assert np.float64(value).tobytes() == np.float64(want).tobytes(), (penalty, value, want)
+
+
 def test_tune_rejects_an_unknown_objective():
     from cset.tuning import tune
 
