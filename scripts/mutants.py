@@ -46,6 +46,7 @@ PLATT_TESTS = ("tests/test_platt.py",)
 SYNTH_TESTS = ("tests/test_synth_stream.py",)
 CONFORMAL_TESTS = ("tests/test_conformal.py",)
 EVAL_TESTS = ("tests/test_eval_blocks.py",)
+SHARE_TESTS = ("tests/test_shared_counts.py",)
 
 MUTANTS = [
     # _tie_keys: each row's keys start at draw row * K of the stream ...
@@ -113,6 +114,20 @@ MUTANTS = [
     # and the raps penalty starts past rank kreg, not one rank early.
     Mutant("conformal.py", "np.arange(1, k + 1) - spec.kreg", "np.arange(k) - spec.kreg",
            CONFORMAL_TESTS),
+    # Models of a group share a count only where their penalty is zero up to
+    # the cut,
+    Mutant("conformal.py", "key = (model.tau_hat, c) if pen is None or pen[c - 1] == 0 else j",
+           "key = (model.tau_hat, c)", SHARE_TESTS),
+    # only at one cut,
+    Mutant("conformal.py", "(model.tau_hat, c)", "(model.tau_hat,)", SHARE_TESTS),
+    # and each adds its boundary +1 to its own sizes, not to the shared count.
+    Mutant("conformal.py",
+           "out[j][rows] = counts[key]\n"
+           "                    if mode == \"one\" and model.spec.boundary_inclusive:\n"
+           "                        np.minimum(out[j][rows] + 1, k, out=out[j][rows])\n",
+           "if mode == \"one\" and model.spec.boundary_inclusive:\n"
+           "                        np.minimum(counts[key] + 1, k, out=counts[key])\n"
+           "                    out[j][rows] = counts[key]\n", SHARE_TESTS),
     # Each evaluation block takes its rows' u, not the first rows' u,
     Mutant("metrics.py", "u[lo:hi]", "u[:hi - lo]", EVAL_TESTS),
     # and is freed before the next block is sorted.

@@ -169,19 +169,20 @@ def conformity_score(ss: SortedScores, row: int, rank: int, u: float, spec: Meth
 
 
 def _score_base(srt: np.ndarray, cumsum: np.ndarray, method: str, u, out: np.ndarray) -> np.ndarray:
-    """Score of every rank of some rows, before any rank penalty, into out.
+    """Score of every rank of some rows, before any rank penalty, into out;
+    srt, cumsum and out are rank-major, one rank a row.
 
     lac: 1 - (mass at the rank); u is ignored. Every other method: the aps
     score u * (mass at the rank) + (mass strictly above it), the latter
     being the exact prefix sum one rank back and nothing at rank 1. u is a
-    scalar or one value per row as a column. Float addition commutes, so
-    this equals rho + u * s bit for bit, at rank 1 too: rho is 0.0 there,
-    and u * s is never -0.0 (u >= 0, and _valid_scores clears each -0.0).
+    scalar or one value per scored row. Float addition commutes, so this
+    equals rho + u * s bit for bit, at rank 1 too: rho is 0.0 there, and
+    u * s is never -0.0 (u >= 0, and _valid_scores clears each -0.0).
     """
     if method == "lac":
         return np.subtract(1.0, srt, out=out)
     np.multiply(srt, u, out=out)
-    out[:, 1:] += cumsum[:, :-1]
+    out[1:] += cumsum[:-1]
     return out
 
 
@@ -256,11 +257,13 @@ def set_sizes_many(models, ss: SortedScores, u=None) -> list[np.ndarray]:
     each block a group takes a column-wise lower bound of its base (0 at
     rank 1, then the block's smallest C[j-1]; for lac 1 - max s_j). A
     model's cut c counts the columns whose bound plus its rank penalty is at
-    most its threshold; the group builds its base up to its largest cut, and
-    each model adds its penalty (raps only) and counts over its first c
-    columns. So m models cost one bound pass per group, at most three base
-    passes, and one add and one compare pass per model over the columns a
-    threshold can reach, in three blocks of memory. fixed_k needs no scores.
+    most its threshold; the group builds its base up to its largest cut, one
+    rank a row, and each model adds its penalty (raps only) and counts over
+    its first c ranks. Models at one threshold and cut with no penalty up to
+    it are aps there and share a count; each adds its own boundary +1. So m
+    models cost one bound pass per group, at most three base passes, and one
+    add and one compare pass per distinct count over the ranks a threshold
+    can reach, in three blocks of memory. fixed_k needs no scores.
 
     The cut is exact: rounding is monotone, so fl(u * s_j + C[j-1]) >= C[j-1]
     (u * s_j >= 0) and adding the penalty keeps the order; the fl prefix sum
@@ -352,15 +355,19 @@ def _sizer(models, k: int):
                 width = max(cuts)
                 if w < k and width == w:
                     raise ValueError(_too_narrow(w, k))
-                at = u[rows, None] if mode == "u" else 1.0
-                block = _score_base(srt[:, :width], cumsum[:, :width], mode, at,
-                                    base[:h * width].reshape(h, width))
+                at = u[rows] if mode == "u" else 1.0
+                block = _score_base(srt[:, :width].T, cumsum[:, :width].T, mode, at,
+                                    base[:width * h].reshape(width, h))
+                counts = {}  # zero penalty up to the cut: aps at that threshold, counted once
                 for (j, model, pen), c in zip(group, cuts):
-                    scores = (block[:, :c] if pen is None
-                              else np.add(block[:, :c], pen[:c], out=scratch[:h * c].reshape(h, c)))
-                    mask = np.less_equal(scores, model.tau_hat, out=inside[:h * c].reshape(h, c))
-                    # A byte sum into int32 counts about twice as fast as count_nonzero.
-                    out[j][rows] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+                    key = (model.tau_hat, c) if pen is None or pen[c - 1] == 0 else j
+                    if key not in counts:
+                        scores = (block[:c] if pen is None else
+                                  np.add(block[:c], pen[:c, None], out=scratch[:c * h].reshape(c, h)))
+                        mask = np.less_equal(scores, model.tau_hat, out=inside[:c * h].reshape(c, h))
+                        # A byte sum into int32 counts about twice as fast as count_nonzero.
+                        counts[key] = np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
+                    out[j][rows] = counts[key]
                     if mode == "one" and model.spec.boundary_inclusive:
                         np.minimum(out[j][rows] + 1, k, out=out[j][rows])
         return out

@@ -504,7 +504,9 @@ def _size_rows(shape, n, k, seed):
     x /= x.sum(axis=1, keepdims=True)
     if shape == "sparse_signed_zero":
         x[(x == 0.0) & (g.random((n, k)) < 0.5)] = -0.0
-    ss = sort_scores(ScoreMatrix(x, g.integers(0, k, n), "probabilities"), seed)
+    m = ScoreMatrix(x, g.integers(0, k, n), "probabilities")
+    assert not np.signbit(m.scores).any()  # sparse_signed_zero's -0.0 is stored as 0.0
+    ss = sort_scores(m, seed)
     u = g.random(n)
     u[g.random(n) < 0.05] = 0.0
     u[g.random(n) < 0.05] = 1.0

@@ -46,6 +46,7 @@ def partial_cases(draw):
         signed = (probs == 0) & (g.random((n, k)) < 0.5) & (np.arange(n) % 3 == 0)[:, None]
         probs[signed] = -0.0
     m = ScoreMatrix(probs, np.zeros(n, dtype=int), "probabilities")
+    assert not np.signbit(m.scores).any()  # each -0.0 is stored as 0.0
     perm = sort_scores(m, seed=5, first_row=3).perm
     where = g.integers(0, 3, n)  # rank 1, rank K, or any class
     labels = np.where(where == 0, perm[:, 0], np.where(where == 1, perm[:, -1],

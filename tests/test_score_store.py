@@ -424,6 +424,7 @@ def test_sort_matches_reference_with_ties_in_one_block(tied_block):
 def test_sort_matches_reference_on_signed_zero_runs():
     scores = np.array([[0.0, 0.5, -0.0, 0.5, 0.0, -0.0]] * 5)
     m = ScoreMatrix(scores, np.zeros(5, dtype=int), "probabilities")
+    assert not np.signbit(m.scores).any()  # the sort sees runs of 0.0 only
     _assert_matches_reference(m, seed=2)
 
 
@@ -455,10 +456,13 @@ def test_order_ties_breaks_equal_keys_by_class_index(monkeypatch):
 
 
 def _with_signed_zeros(m, seed):
-    """m with about half of its zero cells turned to -0.0."""
+    """m with about half of its zero cells given as -0.0, which the checked
+    matrix stores as 0.0: its sort sees the same bits as m's."""
     x = m.scores.copy()
     x[(x == 0) & (np.random.default_rng(seed).random(x.shape) < 0.5)] = -0.0
-    return ScoreMatrix(x, m.labels, "probabilities")
+    signed = ScoreMatrix(x, m.labels, "probabilities")
+    assert not np.signbit(signed.scores).any()
+    return signed
 
 
 def _unbuilt_sorts(shape, n, k, seed, signed, lo):
