@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -513,6 +514,27 @@ def _size_rows(shape, n, k, seed):
     return ss, u
 
 
+def _sweep_models(k, seed):
+    """aps, lac and a (kreg, lambda) grid calibrated on one split, as the
+    experiment's sweep is: the lambda = 0 cells and the kregs no label passes
+    calibrate to the aps threshold, so the sizer counts once for them. Each
+    one randomized, deterministic and boundary-inclusive."""
+    cal = dirichlet_matrix(400, k, seed=seed)
+    ss = sort_scores(cal, seed=1)
+    specs = [MethodSpec("aps", 0.1), MethodSpec("lac", 0.1)]
+    specs += [MethodSpec("raps", 0.1, penalty=lam, kreg=kreg)
+              for kreg in (1, 2, 5, k) for lam in (0.0, 0.01, 0.1, 1.0)]
+    models = []
+    for spec in specs:
+        for variant in ({}, {"randomized": False},
+                        {"randomized": False, "boundary_inclusive": True}):
+            if spec.method == "lac" and variant.get("boundary_inclusive"):
+                continue
+            models.append(calibrate(ss, cal.labels, dataclasses.replace(spec, **variant), seed=2))
+    assert len({model.tau_hat for model in models}) < len(models)  # some thresholds are shared
+    return models
+
+
 @st.composite
 def size_cases(draw):
     """Rows spanning up to three blocks (K never divides the block), a
@@ -895,7 +917,10 @@ def test_set_sizes_many_does_not_depend_on_which_block_holds_a_row(shape, cells)
             row, rank = int(g.integers(ss.n)), int(g.integers(1, 12))
             tau = conformity_score(ss, row, rank, u[row] if spec.randomized else 1.0, spec)
             models.append(ConformalModel(spec, tau, 10, 0, k))
+    models += _sweep_models(k, seed=3)
     want = set_sizes_many(models, ss, u)
+    for model, sizes in zip(models, want):
+        np.testing.assert_array_equal(sizes, _old_set_sizes(model, ss, u), err_msg=repr(model.spec))
     perm = g.permutation(ss.n)
     block = {"k": k, "3k": 3 * k, "default": _BLOCK_CELLS}[cells]
     with pytest.MonkeyPatch.context() as mp:
@@ -903,6 +928,33 @@ def test_set_sizes_many_does_not_depend_on_which_block_holds_a_row(shape, cells)
         got = set_sizes_many(models, ss.take(perm), u[perm])
     for model, a, b in zip(models, want, got):
         np.testing.assert_array_equal(b, a[perm], err_msg=repr(model.spec))
+
+
+@pytest.mark.parametrize("cells", ["k", "3k", "default"])
+def test_set_sizes_many_on_a_sort_narrower_than_k_matches_the_formula(cells):
+    # raps models with a heavy penalty reach fewer than K ranks, so the rows
+    # can be sorted only that far (plus the edge column), as predict sorts
+    # them; those put at an aps threshold have no penalty up to their cut
+    # and share its count
+    k = 30
+    sweep = _sweep_models(k, seed=6)
+    models = [model for model in sweep if model.spec.penalty == 1.0 and model.spec.kreg < k]
+    for aps in (model for model in sweep if model.spec.method == "aps"):
+        for lam in (0.5, 1.0):
+            spec = dataclasses.replace(aps.spec, method="raps", penalty=lam, kreg=8)
+            models.append(dataclasses.replace(aps, spec=spec))
+    m = dirichlet_matrix(40, k, seed=7)
+    u = np.random.default_rng(8).random(m.n)
+    u[:3] = (0.0, 1.0, 0.0)
+    width = cset.conformal._sizer(models, k).reach + 1
+    assert width < k
+    full = sort_scores(m, seed=9)
+    block = {"k": k, "3k": 3 * k, "default": _BLOCK_CELLS}[cells]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cset.score_store, "_BLOCK_CELLS", block)
+        got = set_sizes_many(models, sort_scores(m, seed=9, _width=width), u)
+    for model, sizes in zip(models, got):
+        np.testing.assert_array_equal(sizes, _old_set_sizes(model, full, u), err_msg=repr(model.spec))
 
 
 @pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])

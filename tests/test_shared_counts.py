@@ -4,23 +4,19 @@ The sizer step builds each group's score base with one rank a row and
 counts along the ranks. Within a group, models at one threshold and one cut
 whose penalty is zero on every rank up to that cut score exactly as aps
 there, so one count serves them all; each still adds its own
-boundary-inclusive +1. These tests pin which models share, that the sharing
-never changes a size, and that the layout sizes as the whole-matrix formula
-does on blocks of one and three rows and on sorts narrower than K.
+boundary-inclusive +1. These tests pin, on hand rows, which models share
+and that the sharing never changes a size; tests/test_conformal.py checks a
+calibrated sweep against the per-model formula on blocks of every size and
+on sorts narrower than K.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 import cset
 import cset.conformal
-from cset import score_store
-from cset.conformal import ConformalModel, MethodSpec, _sizer, calibrate, set_sizes_many
+from cset.conformal import ConformalModel, MethodSpec, set_sizes_many
 from cset.score_store import ScoreMatrix, sort_scores
-
-from test_conformal import _old_set_sizes
 
 K = 5
 # Sorted rows (K = 5) whose block lower bounds are 0, .2, .4, .6 and .8 by rank.
@@ -125,81 +121,7 @@ def test_groups_at_one_threshold_count_apart(compares):
              MethodSpec("raps", 0.1, penalty=0.5, kreg=3), MethodSpec("lac", 0.1), APS)
     models = [ConformalModel(spec, 0.6, 10, 0, K) for spec in specs]
     got = set_sizes_many(models, ss, u)
-    for model, sizes in zip(models, got):
-        np.testing.assert_array_equal(sizes, _old_set_sizes(model, ss, u), err_msg=repr(model.spec))
     assert compares.compares == 3
     assert len({tuple(sizes) for sizes in got}) == 3
-
-
-def _sweep_models(k, seed):
-    """aps, lac and a (kreg, lambda) grid calibrated on one split, as the
-    experiment's sweep is: the lambda = 0 cells and the kregs no label passes
-    calibrate to the aps threshold. Each one randomized, deterministic and
-    boundary-inclusive."""
-    cal = _rows(400, k, np.random.default_rng(seed))
-    ss = sort_scores(cal, seed=1)
-    specs = [MethodSpec("aps", 0.1), MethodSpec("lac", 0.1)]
-    specs += [MethodSpec("raps", 0.1, penalty=lam, kreg=kreg)
-              for kreg in (1, 2, 5, k) for lam in (0.0, 0.01, 0.1, 1.0)]
-    models = []
-    for spec in specs:
-        for variant in ({}, {"randomized": False},
-                        {"randomized": False, "boundary_inclusive": True}):
-            if spec.method == "lac" and variant.get("boundary_inclusive"):
-                continue
-            models.append(calibrate(ss, cal.labels, dataclasses.replace(spec, **variant), seed=2))
-    assert len({model.tau_hat for model in models}) < len(models)  # some thresholds are shared
-    return models
-
-
-def _rows(n, k, g):
-    """Sparse Dirichlet rows, each labelled by a draw from its own row."""
-    x = g.dirichlet(np.full(k, 0.3), n)
-    labels = np.minimum((x.cumsum(axis=1) < g.random((n, 1))).sum(axis=1), k - 1)
-    return ScoreMatrix(x, labels, "probabilities")
-
-
-def _eval_rows(n, k, seed):
-    g = np.random.default_rng(seed)
-    m = _rows(n, k, g)
-    u = g.random(n)
-    u[:3] = (0.0, 1.0, 0.0)
-    return m, u
-
-
-@pytest.mark.parametrize("block_rows", [1, 3])
-def test_rank_major_sizes_match_the_formula_on_one_and_three_row_blocks(block_rows):
-    k = 12
-    models = _sweep_models(k, seed=3)
-    m, u = _eval_rows(3 * block_rows + 2, k, seed=4)  # the last block short
-    ss = sort_scores(m, seed=5)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(score_store, "_BLOCK_CELLS", block_rows * k)
-        got = set_sizes_many(models, ss, u)
     for model, sizes in zip(models, got):
-        np.testing.assert_array_equal(sizes, _old_set_sizes(model, ss, u), err_msg=repr(model.spec))
-
-
-@pytest.mark.parametrize("block_rows", [1, 3, None])
-def test_rank_major_sizes_match_the_formula_on_a_sort_narrower_than_k(block_rows):
-    # raps models with a heavy penalty reach fewer than K ranks, so the rows
-    # can be sorted only that far (plus the edge column), as predict sorts
-    # them; those put at an aps threshold have no penalty up to their cut
-    # and share its count
-    k = 30
-    sweep = _sweep_models(k, seed=6)
-    models = [model for model in sweep if model.spec.penalty == 1.0 and model.spec.kreg < k]
-    for aps in (model for model in sweep if model.spec.method == "aps"):
-        for lam in (0.5, 1.0):
-            spec = dataclasses.replace(aps.spec, method="raps", penalty=lam, kreg=8)
-            models.append(dataclasses.replace(aps, spec=spec))
-    m, u = _eval_rows(40, k, seed=7)
-    width = _sizer(models, k).reach + 1
-    assert width < k
-    full = sort_scores(m, seed=8)
-    with pytest.MonkeyPatch.context() as mp:
-        if block_rows is not None:
-            mp.setattr(score_store, "_BLOCK_CELLS", block_rows * k)
-        got = set_sizes_many(models, sort_scores(m, seed=8, _width=width), u)
-    for model, sizes in zip(models, got):
-        np.testing.assert_array_equal(sizes, _old_set_sizes(model, full, u), err_msg=repr(model.spec))
+        np.testing.assert_array_equal(sizes, set_sizes_many([model], ss, u)[0], err_msg=repr(model.spec))
