@@ -54,15 +54,11 @@ MUTANTS = [
            "rng.bit_generator.advance(row)", SORT_TESTS),
     # ... counted from the start of the stream for every row.
     Mutant("score_store.py", "rng.bit_generator.state = start", "pass", SORT_TESTS),
-    # _tie_ordered keys a tied row by its row of the matrix, not of its block,
-    Mutant("score_store.py", "_tie_keys(seed, rows[block][tied], k)",
-           "_tie_keys(seed, tied, k)", SORT_TESTS),
-    # orders each row with any tie, not only a row that is one run,
-    Mutant("score_store.py", "(srt[:, 1:] == srt[:, :-1]).any(axis=1)",
-           "(srt[:, 1:] == srt[:, :-1]).all(axis=1)", SORT_TESTS),
+    # _tie_ordered keys a row by its row of the key stream, not of its block,
+    Mutant("score_store.py", "_tie_keys(seed, rows[block], k)",
+           "_tie_keys(seed, np.arange(block.stop - block.start), k)", SORT_TESTS),
     # and puts the smaller key of a run first.
-    Mutant("score_store.py", "np.lexsort((keys, -p[tied]), axis=1)",
-           "np.lexsort((-keys, -p[tied]), axis=1)", SORT_TESTS),
+    Mutant("score_store.py", "np.lexsort((_tie_keys(", "np.lexsort((-_tie_keys(", SORT_TESTS),
     # sort_scores keys its rows from first_row,
     Mutant("score_store.py", "rows = np.arange(first_row, first_row + n)",
            "rows = np.arange(n)", SORT_TESTS),

@@ -162,23 +162,21 @@ class SortedScores:
     row prefix sums. Equal probabilities are ordered by seeded random keys
     (see :func:`sort_scores`), so ``perm`` rows are always true
     permutations and a given seed always yields the same order. ``perm`` is
-    built from the kept probabilities when first read. ``sorted`` and
-    ``cumsum`` may hold only the first columns of the sort; K is that of the
-    probabilities, and ``perm`` always has K columns.
+    built when first read, by a lexsort that draws keys for every row, so
+    label ranks and listed sets read only the ``perm`` of their tied rows.
+    ``sorted`` and ``cumsum`` may hold only the first columns of the sort;
+    K is that of the probabilities, and ``perm`` always has K columns.
     """
 
     sorted: np.ndarray
     _perm: np.ndarray | None
     cumsum: np.ndarray
     # The probabilities sorted, the tie-key seed, and each row's key-stream row.
-    _probs: np.ndarray | None = field(default=None, repr=False)
-    _seed: int = 0
-    _rows: np.ndarray | None = field(default=None, repr=False)
+    _probs: np.ndarray = field(repr=False)
+    _seed: int
+    _rows: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self._probs is None:  # perm is given: unsort the sorted cells
-            probs = np.take_along_axis(self.sorted, np.argsort(self._perm, axis=1), axis=1)
-            object.__setattr__(self, "_probs", probs)
         for arr in (self.sorted, self._perm, self.cumsum, self._probs):
             if arr is not None:
                 arr.setflags(write=False)
@@ -200,9 +198,9 @@ class SortedScores:
 
     def take(self, idx: np.ndarray) -> "SortedScores":
         """Row subset in the given order; copies each array once, builds no perm."""
-        perm, rows = (None if a is None else a[idx] for a in (self._perm, self._rows))
+        perm = None if self._perm is None else self._perm[idx]
         return SortedScores(self.sorted[idx], perm, self.cumsum[idx], self._probs[idx],
-                            self._seed, rows)
+                            self._seed, self._rows[idx])
 
     def label_ranks(self, labels: np.ndarray) -> np.ndarray:
         """1-based rank of each row's label in that row's sorted order.
@@ -335,7 +333,8 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0, *,
     Only the values are sorted, in the row blocks of :func:`_row_blocks`.
     Equal values have equal bits (a checked probability matrix holds no
     -0.0; see :func:`_valid_scores`), so ties show in neither ``sorted`` nor
-    ``cumsum``. The result keeps the probabilities to build ``perm`` from.
+    ``cumsum``. The result keeps the probabilities to build ``perm`` from,
+    which lexsorts the rows asked for: the whole ``perm`` draws every key.
     ``_width`` (private; default K) keeps only the first columns of
     ``sorted`` and ``cumsum``: below K, np.partition finds each row's top
     ``_width`` values and only those are sorted, so both hold the full
@@ -364,19 +363,11 @@ def sort_scores(m: ScoreMatrix, seed: int = 0, first_row: int = 0, *,
 def _tie_ordered(scores: np.ndarray, seed: int, rows: np.ndarray) -> np.ndarray:
     """perm of some probability rows: row i is ``np.lexsort((keys, -scores[i]))``
     with the keys of row ``rows[i]`` of the key stream (see :func:`sort_scores`).
-    Keys are drawn and the lexsort run only for rows with a tie."""
+    Every row given draws its keys and is lexsorted, tied or not."""
     n, k = scores.shape
     perm = np.empty((n, k), dtype=np.intp)
     for block in _row_blocks(n, k):
-        p, order = scores[block], perm[block]
-        # An unstable ascending sort, reversed, is right up to the order
-        # inside runs of equal values.
-        order[:] = np.argsort(p, axis=1)[:, ::-1]
-        srt = np.take_along_axis(p, order, axis=1)
-        tied = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
-        if tied.size:
-            keys = _tie_keys(seed, rows[block][tied], k)
-            order[tied] = np.lexsort((keys, -p[tied]), axis=1)
+        perm[block] = np.lexsort((_tie_keys(seed, rows[block], k), -scores[block]), axis=1)
     perm.setflags(write=False)
     return perm
 

@@ -1,6 +1,6 @@
 """Sets, scores and label ranks read the sorted values alone.
 
-A row's tie order (argsort plus the seeded keys) is built only where a
+A row's tie order (a lexsort with the seeded keys) is built only where a
 label or a printed class sits in a tie, so on tie-free rows no command
 builds a single row of it.
 """
@@ -13,17 +13,18 @@ from cset.cli import main
 
 
 class _CountingNumpy:
-    """numpy, as score_store sees it, with its argsort calls counted."""
+    """numpy, as score_store sees it, with its row-wise lexsorts counted: the
+    tie order's, not top_classes' one flat lexsort of tie-free cells."""
 
     def __init__(self):
-        self.argsorts = 0
+        self.row_lexsorts = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def argsort(self, *args, **kwargs):
-        self.argsorts += 1
-        return np.argsort(*args, **kwargs)
+    def lexsort(self, keys, axis=-1):
+        self.row_lexsorts += np.ndim(keys[0]) == 2
+        return np.lexsort(keys, axis=axis)
 
 
 def test_no_command_orders_a_tie_on_tie_free_logits(tmp_path, monkeypatch):
@@ -55,5 +56,5 @@ def test_no_command_orders_a_tie_on_tie_free_logits(tmp_path, monkeypatch):
     }
     for name, argv in runs.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
-    assert sum(rows) == 0 and counting.argsorts == 0
+    assert sum(rows) == 0 and counting.row_lexsorts == 0
     assert (tmp_path / "pred" / "predictions.csv").read_text().count("\n") == 1500
